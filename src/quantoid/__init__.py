@@ -23,7 +23,6 @@ from .entropic import (
 )
 from .errors import QuantoidError
 from .expansion import (
-    DEFAULT_EXPANSION_CAP,
     BlockMap,
     Expansion,
     adapted_sets,
@@ -60,7 +59,6 @@ __all__ = [
     "ApproxSetFunction",
     "BlockMap",
     "Classification",
-    "DEFAULT_EXPANSION_CAP",
     "Expansion",
     "GroundSet",
     "JointDistribution",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import documents
@@ -20,7 +19,6 @@ from .duality import dual
 from .entropic import shannon_entropy_function, snap_to_rational, von_neumann_entropy_function
 from .errors import QuantoidError
 from .expansion import (
-    DEFAULT_EXPANSION_CAP,
     expansion_correspondence_holds,
     free_expand_polymatroid,
     free_expand_polyquantoid,
@@ -28,8 +26,6 @@ from .expansion import (
 )
 from .setfn import POLYMATROID, POLYQUANTOID, classify
 from .sharing import analyze_sharing
-
-EXPANSION_CAP_ENV = "QUANTOID_EXPANSION_CAP"
 
 _TRANSFORMS = {
     "dual": dual,
@@ -49,11 +45,6 @@ def _emit(text: str, outfile: str | None):
             handle.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _expansion_cap() -> int:
-    raw = os.environ.get(EXPANSION_CAP_ENV)
-    return int(raw) if raw else DEFAULT_EXPANSION_CAP
 
 
 def _cmd_check(args) -> int:
@@ -78,9 +69,8 @@ def _cmd_share(args) -> int:
 
 def _cmd_expand(args) -> int:
     f = documents.set_function_from_doc(_read_json(args.file))
-    cap = _expansion_cap()
     if args.verify_lemma52:
-        verdict = expansion_correspondence_holds(f, cap=cap)
+        verdict = expansion_correspondence_holds(f)
         _emit(documents.dumps({"lemma52": verdict}), args.out)
         return 0 if verdict else 1
     if args.mode is None:
@@ -90,7 +80,7 @@ def _cmd_expand(args) -> int:
         "quantoid": free_expand_polyquantoid,
         "two-factor": two_factor,
     }[args.mode]
-    expansion = builder(f, cap=cap)
+    expansion = builder(f)
     _emit(documents.dumps(documents.expansion_to_doc(expansion)), args.out)
     return 0
 

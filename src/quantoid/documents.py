@@ -19,7 +19,7 @@ import json
 from .entropic import ApproxSetFunction, JointDistribution, PureState
 from .errors import MalformedDocument
 from .expansion import Expansion
-from .setfn import SetFunction, build
+from .setfn import GroundSet, SetFunction, build
 from .sharing import SharingReport
 
 
@@ -59,17 +59,15 @@ def approx_set_function_to_doc(f: ApproxSetFunction) -> dict:
 
 
 def distribution_from_doc(doc) -> JointDistribution:
-    from .setfn import GroundSet
-
     parties = GroundSet(tuple(str(x) for x in _field(doc, "parties", list)))
     alphabets = _field(doc, "alphabets", list)
     probs = _field(doc, "probs", list)
+    if not all(isinstance(p, (int, float)) for p in probs):
+        raise MalformedDocument("probs: expected numbers")
     return JointDistribution(parties, tuple(alphabets), tuple(probs))
 
 
 def pure_state_from_doc(doc) -> PureState:
-    from .setfn import GroundSet
-
     parties = GroundSet(tuple(str(x) for x in _field(doc, "parties", list)))
     dims = _field(doc, "dims", list)
     raw = _field(doc, "amplitudes", list)

@@ -11,9 +11,7 @@ and differs from classical matroid duality (which is not implemented here).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .setfn import SetFunction, singleton_sums
+from .setfn import SetFunction, modular_sums
 
 
 def dual(f: SetFunction) -> SetFunction:
@@ -24,19 +22,9 @@ def dual(f: SetFunction) -> SetFunction:
     size = 1 << n
 
     gain = [v[1 << i] - v[0] + v[full] - v[full ^ (1 << i)] for i in range(n)]
-    gain_sum = [Fraction(0)] * size
-    for m in range(1, size):
-        low = m & -m
-        gain_sum[m] = gain_sum[m ^ low] + gain[low.bit_length() - 1]
+    gain_sum = modular_sums(gain)
     base = v[0] - v[full]
     out = tuple(v[full ^ m] + base + gain_sum[m] for m in range(size))
-
-    if __debug__ and v[0] == 0 and is_tight(f):
-        # normalized + tight: the general formula must reduce to
-        # f'(I) = f(N\I) - f(N) + sum of singleton values over I
-        sums = singleton_sums(f)
-        assert all(out[m] == v[full ^ m] - v[full] + sums[m] for m in range(size))
-
     return SetFunction(f.ground, out)
 
 

@@ -12,7 +12,9 @@ pipeline.
 
 from __future__ import annotations
 
+import cmath
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -67,15 +69,16 @@ class JointDistribution:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.alphabet_sizes)
-        if len(sizes) != self.parties.n or any(s < 1 for s in sizes):
-            raise InvalidDistribution("alphabet sizes must be positive, one per party")
+        sizes = _sizes_per_party(self.alphabet_sizes, self.parties.n, InvalidDistribution,
+                                 "alphabet sizes must be positive integers, one per party")
         object.__setattr__(self, "alphabet_sizes", sizes)
         probs = tuple(float(p) for p in self.probs)
         object.__setattr__(self, "probs", probs)
         if len(probs) != math.prod(sizes):
             raise InvalidDistribution(
                 f"expected {math.prod(sizes)} probabilities, got {len(probs)}")
+        if not all(math.isfinite(p) for p in probs):
+            raise InvalidDistribution("non-finite probability")
         if any(p < 0 for p in probs):
             raise InvalidDistribution("negative mass")
         total = math.fsum(probs)
@@ -97,18 +100,29 @@ class PureState:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if len(dims) != self.parties.n or any(d < 1 for d in dims):
-            raise DimensionMismatch("dimensions must be positive, one per party")
+        dims = _sizes_per_party(self.dims, self.parties.n, DimensionMismatch,
+                                "dimensions must be positive integers, one per party")
         object.__setattr__(self, "dims", dims)
         amps = tuple(complex(a) for a in self.amplitudes)
         object.__setattr__(self, "amplitudes", amps)
         if len(amps) != math.prod(dims):
             raise DimensionMismatch(
                 f"expected {math.prod(dims)} amplitudes, got {len(amps)}")
+        if not all(cmath.isfinite(a) for a in amps):
+            raise NotNormalized("non-finite amplitude")
         norm2 = math.fsum(abs(a) ** 2 for a in amps)
         if abs(norm2 - 1.0) > self.tol:
             raise NotNormalized(f"squared norm {norm2!r} is not 1")
+
+
+def _sizes_per_party(raw, n: int, error: type, message: str) -> tuple:
+    try:
+        sizes = tuple(operator.index(s) for s in raw)
+    except TypeError:
+        raise error(message) from None
+    if len(sizes) != n or any(s < 1 for s in sizes):
+        raise error(message)
+    return sizes
 
 
 def _entropy_of(probabilities, base: float) -> float:
@@ -169,7 +183,7 @@ def snap_to_rational(f: ApproxSetFunction, max_denominator: int) -> SetFunction:
     snap target.
     """
     if max_denominator < 1:
-        raise ValueError("max_denominator must be at least 1")
+        raise SnapFailed(f"max_denominator {max_denominator} is not at least 1")
     out = []
     for mask, v in enumerate(f.values):
         target = Fraction(v).limit_denominator(max_denominator)

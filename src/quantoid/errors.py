@@ -79,7 +79,7 @@ class OddSingletonValue(QuantoidError):
 
 
 class ExpansionTooLarge(QuantoidError):
-    """The expanded ground set would exceed the configured cap."""
+    """The expanded ground set would exceed the 16-element ground-set limit."""
 
 
 # -- entropic constructors ---------------------------------------------------

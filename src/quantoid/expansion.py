@@ -10,8 +10,8 @@ The expanded value on K is a minimization over source subsets J:
 
 The minimum is attained on the *adapted* sets, those J sandwiched between
 the elements whose block meets K and the elements whose nonempty block
-lies inside K, so only they are searched (a debug switch re-runs the full
-minimization and insists on equality).
+lies inside K, so only they are searched.  An expansion has at most
+MAX_GROUND_SIZE elements.
 
 A 2-factor groups the copies of a matroid expansion into two-element
 blocks (consecutive copies are paired) and restricts the expanded function
@@ -32,9 +32,7 @@ from .errors import (
     NotIntegerPolyquantoid,
     OddSingletonValue,
 )
-from .setfn import GroundSet, SetFunction, classify
-
-DEFAULT_EXPANSION_CAP = 20
+from .setfn import MAX_GROUND_SIZE, GroundSet, SetFunction, classify, submasks
 
 MATROID_EXPANSION = "matroid-expansion"
 QUANTOID_EXPANSION = "quantoid-expansion"
@@ -103,21 +101,11 @@ def adapted_sets(block_map: BlockMap, subset) -> tuple:
             upper |= 1 << i
             if b & K == b:
                 lower |= 1 << i
-    out = sorted(lower | s for s in _submasks(upper & ~lower))
+    out = sorted(lower | s for s in submasks(upper & ~lower))
     return tuple(block_map.source.members(m) for m in out)
 
 
-def _submasks(mask: int):
-    s = mask
-    while True:
-        yield s
-        if s == 0:
-            return
-        s = (s - 1) & mask
-
-
-def _expanded_values(src: SetFunction, bmap: BlockMap, *, symmetric: bool,
-                     check_minimization: bool) -> tuple:
+def _expanded_values(src: SetFunction, bmap: BlockMap, symmetric: bool) -> tuple:
     n = src.n
     v = src.values
     images = [bmap.image_mask(j) for j in range(1 << n)]
@@ -136,12 +124,7 @@ def _expanded_values(src: SetFunction, bmap: BlockMap, *, symmetric: bool,
                 upper |= 1 << i
                 if b & K == b:
                     lower |= 1 << i
-        best = min(cost(lower | s, K) for s in _submasks(upper & ~lower))
-        if check_minimization:
-            full_best = min(cost(j, K) for j in range(1 << n))
-            assert best == full_best, (
-                f"adapted-set minimum {best} != full minimum {full_best} on mask {K}")
-        out.append(best)
+        out.append(min(cost(lower | s, K) for s in submasks(upper & ~lower)))
     return tuple(out)
 
 
@@ -153,38 +136,33 @@ def _require_integer(f: SetFunction, kind: str):
         raise NotIntegerPolyquantoid(f"values on {f.labels}")
 
 
-def _block_sizes(f: SetFunction, cap: int) -> list:
+def _block_sizes(f: SetFunction) -> list:
     sizes = [int(f.values[1 << i]) for i in range(f.n)]
     total = sum(sizes)
-    if total > cap:
-        raise ExpansionTooLarge(f"{total} expanded elements exceeds cap {cap}")
+    if total > MAX_GROUND_SIZE:
+        raise ExpansionTooLarge(f"{total} expanded elements (maximum {MAX_GROUND_SIZE})")
     return sizes
 
 
-def free_expand_polymatroid(h: SetFunction, *, cap: int = DEFAULT_EXPANSION_CAP,
-                            check_minimization: bool = False) -> Expansion:
+def _expansion(f: SetFunction, kind: str) -> Expansion:
+    bmap = BlockMap.from_sizes(f.ground, _block_sizes(f))
+    values = _expanded_values(f, bmap, symmetric=kind == QUANTOID_EXPANSION)
+    return Expansion(map=bmap, expanded_fn=SetFunction(bmap.expanded, values), kind=kind)
+
+
+def free_expand_polymatroid(h: SetFunction) -> Expansion:
     """Free expansion of an integer polymatroid; the result is a matroid."""
     _require_integer(h, MATROID_EXPANSION)
-    bmap = BlockMap.from_sizes(h.ground, _block_sizes(h, cap))
-    values = _expanded_values(h, bmap, symmetric=False,
-                              check_minimization=check_minimization)
-    return Expansion(map=bmap, expanded_fn=SetFunction(bmap.expanded, values),
-                     kind=MATROID_EXPANSION)
+    return _expansion(h, MATROID_EXPANSION)
 
 
-def free_expand_polyquantoid(e: SetFunction, *, cap: int = DEFAULT_EXPANSION_CAP,
-                             check_minimization: bool = False) -> Expansion:
+def free_expand_polyquantoid(e: SetFunction) -> Expansion:
     """Free expansion of an integer polyquantoid; the result is a quantoid."""
     _require_integer(e, QUANTOID_EXPANSION)
-    bmap = BlockMap.from_sizes(e.ground, _block_sizes(e, cap))
-    values = _expanded_values(e, bmap, symmetric=True,
-                              check_minimization=check_minimization)
-    return Expansion(map=bmap, expanded_fn=SetFunction(bmap.expanded, values),
-                     kind=QUANTOID_EXPANSION)
+    return _expansion(e, QUANTOID_EXPANSION)
 
 
-def two_factor(h: SetFunction, *, cap: int = DEFAULT_EXPANSION_CAP,
-               check_minimization: bool = False) -> Expansion:
+def two_factor(h: SetFunction) -> Expansion:
     """Pair consecutive copies of a free expansion into two-element blocks.
 
     Requires every singleton value of h to be even.  The returned function
@@ -195,8 +173,11 @@ def two_factor(h: SetFunction, *, cap: int = DEFAULT_EXPANSION_CAP,
     for i in range(h.n):
         if int(h.values[1 << i]) % 2:
             raise OddSingletonValue(h.labels[i])
+    return _two_factor(h)
 
-    inner = free_expand_polymatroid(h, cap=cap, check_minimization=check_minimization)
+
+def _two_factor(h: SetFunction) -> Expansion:
+    inner = _expansion(h, MATROID_EXPANSION)
     pair_blocks = tuple(
         tuple(f"{label}.{k}" for k in range(int(h.values[1 << i]) // 2))
         for i, label in enumerate(h.labels)
@@ -225,14 +206,15 @@ def two_factor(h: SetFunction, *, cap: int = DEFAULT_EXPANSION_CAP,
                      kind=TWO_FACTOR)
 
 
-def expansion_correspondence_holds(e: SetFunction, *,
-                                   cap: int = DEFAULT_EXPANSION_CAP) -> bool:
+def expansion_correspondence_holds(e: SetFunction) -> bool:
     """Cross-check the two expansion routes of an integer polyquantoid.
 
     Route one expands e directly to a quantoid.  Route two maps e to its
     polymatroid partner, freely expands that, takes the 2-factor on the
     same block labels, and maps back.  The two must agree value for value.
     """
-    direct = free_expand_polyquantoid(e, cap=cap)
-    factored = two_factor(to_polymatroid(e), cap=cap)
+    _require_integer(e, QUANTOID_EXPANSION)
+    direct = _expansion(e, QUANTOID_EXPANSION)
+    # the partner is an integer polymatroid with even singletons 2 e(i)
+    factored = _two_factor(to_polymatroid(e))
     return to_polyquantoid(factored.expanded_fn) == direct.expanded_fn

@@ -34,11 +34,12 @@ def as_rational(value) -> Fraction:
     """Read an exact rational from an int, a Fraction, or a "p" / "p/q" string.
 
     Floats are rejected: they are not exact and must be snapped explicitly
-    (see quantoid.entropic.snap_to_rational).
+    (see quantoid.entropic.snap_to_rational).  Booleans are rejected too,
+    although Python counts them as ints.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -183,15 +184,29 @@ def from_table(labels: Sequence, values: Iterable) -> SetFunction:
     return SetFunction(ground, tuple(as_rational(v) for v in values))
 
 
+def modular_sums(weights: Sequence[Fraction]) -> list[Fraction]:
+    """For every subset mask of len(weights) elements, the sum of the weights
+    of its members."""
+    sums = [Fraction(0)] * (1 << len(weights))
+    for m in range(1, len(sums)):
+        low = m & -m
+        sums[m] = sums[m ^ low] + weights[low.bit_length() - 1]
+    return sums
+
+
 def singleton_sums(f: SetFunction) -> tuple[Fraction, ...]:
     """For every subset mask, the sum of f over the subset's singletons."""
-    size = 1 << f.n
-    sums = [Fraction(0)] * size
-    v = f.values
-    for m in range(1, size):
-        low = m & -m
-        sums[m] = sums[m ^ low] + v[low]
-    return tuple(sums)
+    return tuple(modular_sums([f.values[1 << i] for i in range(f.n)]))
+
+
+def submasks(mask: int) -> Iterator[int]:
+    """Every submask of mask, in ascending order, from 0 up to mask itself."""
+    s = 0
+    while True:
+        yield s
+        if s == mask:
+            return
+        s = (s - mask) & mask
 
 
 def _submodular_local(values: Sequence[Fraction], n: int) -> bool:
@@ -203,15 +218,6 @@ def _submodular_local(values: Sequence[Fraction], n: int) -> bool:
         for a, b in itertools.combinations(bits, 2):
             if (values[m ^ (1 << a)] + values[m ^ (1 << b)]
                     < values[m] + values[m ^ (1 << a) ^ (1 << b)]):
-                return False
-    return True
-
-
-def _submodular_all_pairs(values: Sequence[Fraction], n: int) -> bool:
-    size = 1 << n
-    for i in range(size):
-        for j in range(i, size):
-            if values[i] + values[j] < values[i | j] + values[i & j]:
                 return False
     return True
 
@@ -248,12 +254,10 @@ class Classification:
         }
 
 
-def classify(f: SetFunction, *, exhaustive: bool = False) -> Classification:
-    """Compute every axiom flag by exhaustive subset checks.
+def classify(f: SetFunction) -> Classification:
+    """Compute every axiom flag by checks over every subset.
 
-    Submodularity defaults to the local two-point criterion; pass
-    exhaustive=True to check every pair of subsets instead (same verdict,
-    slower -- useful to cross-check the optimization).
+    Submodularity is checked by the local two-point criterion.
     """
     from .duality import dual, is_tight  # deferred: duality builds on this module
 
@@ -269,7 +273,7 @@ def classify(f: SetFunction, *, exhaustive: bool = False) -> Classification:
         for i in range(n)
         if m >> i & 1
     )
-    submodular = _submodular_all_pairs(v, n) if exhaustive else _submodular_local(v, n)
+    submodular = _submodular_local(v, n)
     complementary = all(v[m] == v[full ^ m] for m in range(size))
     tight = is_tight(f)
     integer = all(x.denominator == 1 for x in v)

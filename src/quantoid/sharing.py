@@ -19,10 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .correspondence import to_polymatroid, to_polyquantoid
-from .duality import is_selfdual, is_tight
+from .correspondence import to_polymatroid
 from .errors import NotAMatroid, NotIdeal, NotOfKind
-from .setfn import POLYMATROID, POLYQUANTOID, SetFunction, classify, scale
+from .setfn import POLYMATROID, POLYQUANTOID, SetFunction, classify, scale, submasks
 
 
 @dataclass(frozen=True)
@@ -57,13 +56,6 @@ class _Flags(NamedTuple):
     ideal: bool
 
 
-def _coalitions(full: int, dealer_bit: int):
-    rest = full ^ dealer_bit
-    for m in range(rest + 1):
-        if m & rest == m:
-            yield m
-
-
 def _sharing_flags(f: SetFunction, dealer_bit: int, quantum: bool) -> _Flags:
     v = f.values
     full = f.full_mask
@@ -72,7 +64,7 @@ def _sharing_flags(f: SetFunction, dealer_bit: int, quantum: bool) -> _Flags:
 
     perfect = True
     authorized = []
-    for m in _coalitions(full, dealer_bit):
+    for m in submasks(full ^ dealer_bit):
         inc = v[m | dealer_bit] - v[m]
         if inc == authorized_target:
             authorized.append(m)
@@ -82,7 +74,7 @@ def _sharing_flags(f: SetFunction, dealer_bit: int, quantum: bool) -> _Flags:
     authorized_set = set(authorized)
     minimal = [
         m for m in authorized
-        if not any(_proper_submask_in(m, authorized_set))
+        if not any(s != m and s in authorized_set for s in submasks(m))
     ]
 
     essential = []
@@ -102,17 +94,6 @@ def _sharing_flags(f: SetFunction, dealer_bit: int, quantum: bool) -> _Flags:
     return _Flags(perfect, tuple(authorized), tuple(minimal), tuple(essential), ideal)
 
 
-def _proper_submask_in(m: int, family: set):
-    if m == 0:
-        return  # the empty set has no proper submask
-    s = (m - 1) & m
-    while True:
-        yield s in family
-        if s == 0:
-            return
-        s = (s - 1) & m
-
-
 def _not_ideal_reason(f: SetFunction, dealer_idx: int, flags: _Flags, quantum: bool) -> str:
     g = f.ground
     dealer = g.labels[dealer_idx]
@@ -120,7 +101,7 @@ def _not_ideal_reason(f: SetFunction, dealer_idx: int, flags: _Flags, quantum: b
     secret = f.values[dbit]
     if not flags.perfect:
         allowed = (secret, -secret) if quantum else (secret, Fraction(0))
-        for m in _coalitions(f.full_mask, dbit):
+        for m in submasks(f.full_mask ^ dbit):
             inc = f.values[m | dbit] - f.values[m]
             if inc not in allowed:
                 return (f"dealer {dealer!r} is not perfect: "
@@ -139,28 +120,32 @@ def _members_of(f: SetFunction, masks) -> tuple:
     return tuple(f.ground.members(m) for m in masks)
 
 
-def analyze_sharing(f: SetFunction, dealer, kind: str = POLYMATROID) -> SharingReport:
-    """Full sharing analysis of one dealer; f must pass classify for `kind`."""
+def _validated_flags(f: SetFunction, dealer, kind: str) -> tuple:
+    """Validate f as `kind` with its one classify; return (dealer index, flags)."""
     if kind not in (POLYMATROID, POLYQUANTOID):
         raise ValueError(f"unknown kind {kind!r}")
     cls = classify(f)
-    if kind == POLYMATROID and not cls.polymatroid:
-        raise NotOfKind(POLYMATROID)
-    if kind == POLYQUANTOID and not cls.polyquantoid:
-        raise NotOfKind(POLYQUANTOID)
-
+    if not (cls.polymatroid if kind == POLYMATROID else cls.polyquantoid):
+        raise NotOfKind(kind)
     idx = f.ground.index_of(dealer)
-    quantum = kind == POLYQUANTOID
-    flags = _sharing_flags(f, 1 << idx, quantum)
-    if quantum and __debug__:
-        # the polyquantoid notions must coincide with the polymatroid ones
-        # seen through the to_polymatroid partner
-        assert flags == _sharing_flags(to_polymatroid(f), 1 << idx, quantum=False)
+    return idx, _sharing_flags(f, 1 << idx, kind == POLYQUANTOID)
 
-    extraction = None
-    if flags.ideal:
-        extraction = (extract_selfdual_matroid(f, dealer) if quantum
-                      else extract_matroid(f, dealer))
+
+def _extraction(f: SetFunction, idx: int, quantum: bool) -> tuple:
+    # f is validated and dealer idx is ideal, so the polymatroid h (f, or the
+    # to_polymatroid partner of a polyquantoid) is t times a matroid rank
+    h = to_polymatroid(f) if quantum else f
+    t = h.values[1 << idx]
+    if t == 0:
+        # all singletons equal the dealer's 0, so the polymatroid h is 0
+        return Fraction(1), h
+    return t, scale(h, 1 / t)
+
+
+def analyze_sharing(f: SetFunction, dealer, kind: str = POLYMATROID) -> SharingReport:
+    """Full sharing analysis of one dealer; f must pass classify for `kind`."""
+    idx, flags = _validated_flags(f, dealer, kind)
+    extraction = _extraction(f, idx, kind == POLYQUANTOID) if flags.ideal else None
 
     return SharingReport(
         dealer=f.ground.labels[idx],
@@ -179,21 +164,10 @@ def extract_matroid(h: SetFunction, dealer) -> tuple:
     Returns (t, rank).  When h(dealer) > 0, t = h(dealer); when
     h(dealer) = 0 the whole function is zero and t = 1 is chosen.
     """
-    if not classify(h).polymatroid:
-        raise NotOfKind(POLYMATROID)
-    idx = h.ground.index_of(dealer)
-    flags = _sharing_flags(h, 1 << idx, quantum=False)
+    idx, flags = _validated_flags(h, dealer, POLYMATROID)
     if not flags.ideal:
         raise NotIdeal(_not_ideal_reason(h, idx, flags, quantum=False))
-
-    t = h.values[1 << idx]
-    if t == 0:
-        assert all(x == 0 for x in h.values)
-        zero = SetFunction(h.ground, tuple(Fraction(0) for _ in h.values))
-        return Fraction(1), zero
-    rank = scale(h, 1 / t)
-    assert classify(rank).matroid
-    return t, rank
+    return _extraction(h, idx, quantum=False)
 
 
 def extract_selfdual_matroid(e: SetFunction, dealer) -> tuple:
@@ -202,18 +176,10 @@ def extract_selfdual_matroid(e: SetFunction, dealer) -> tuple:
     The rank function is a tight selfdual matroid, obtained by extracting
     from the to_polymatroid partner.  Returns (t, rank).
     """
-    if not classify(e).polyquantoid:
-        raise NotOfKind(POLYQUANTOID)
-    idx = e.ground.index_of(dealer)
-    flags = _sharing_flags(e, 1 << idx, quantum=True)
+    idx, flags = _validated_flags(e, dealer, POLYQUANTOID)
     if not flags.ideal:
         raise NotIdeal(_not_ideal_reason(e, idx, flags, quantum=True))
-
-    t, rank = extract_matroid(to_polymatroid(e), dealer)
-    if __debug__:
-        assert is_tight(rank) and is_selfdual(rank)
-        assert scale(to_polyquantoid(rank), t).values == e.values
-    return t, rank
+    return _extraction(e, idx, quantum=True)
 
 
 def _circuit_masks(r: SetFunction) -> tuple:
@@ -237,7 +203,7 @@ def _circuit_masks(r: SetFunction) -> tuple:
 
 
 def matroid_structure(r: SetFunction) -> MatroidStructure:
-    """Circuits, loops, coloops, connectivity -- all by exhaustive enumeration.
+    """Circuits, loops, coloops, connectivity -- all by enumerating every subset.
 
     Convention for connectivity (the degenerate cases are a documented
     choice): the empty matroid is connected; a single element is connected
@@ -284,7 +250,7 @@ def access_from_circuits(r: SetFunction, dealer) -> tuple:
     dbit = 1 << idx
     through = [c for c in _circuit_masks(r) if c & dbit]
     family = [
-        m for m in _coalitions(r.full_mask, dbit)
+        m for m in submasks(r.full_mask ^ dbit)
         if any(c & ~(dbit | m) == 0 for c in through)
     ]
     return _members_of(r, family)

@@ -1,9 +1,12 @@
-"""Shared fixtures: canonical rank functions and a random polymatroid source."""
+"""Shared fixtures: canonical rank functions, a random polymatroid source,
+and slow reference oracles for the shortcuts the library takes."""
 
+from dataclasses import replace
 from fractions import Fraction
 import random
 
-from quantoid.setfn import SetFunction, from_table
+from quantoid.expansion import QUANTOID_EXPANSION, TWO_FACTOR
+from quantoid.setfn import SetFunction, classify, from_table
 
 
 def labels_for(n):
@@ -57,3 +60,45 @@ def random_rational_polymatroid(rng: random.Random, n: int) -> SetFunction:
         for m in range(size):
             table[m] += w * min((m & area).bit_count(), r)
     return from_table(labels_for(n), table)
+
+
+def submodular_all_pairs(values, n):
+    """Submodularity by its definition: every pair of subsets."""
+    size = 1 << n
+    for i in range(size):
+        for j in range(i, size):
+            if values[i] + values[j] < values[i | j] + values[i & j]:
+                return False
+    return True
+
+
+def classify_exhaustive(f):
+    """classify(f), but with submodularity checked on every pair of subsets
+    instead of the two-point criterion (same verdict, slower)."""
+    c = classify(f)
+    submodular = submodular_all_pairs(f.values, f.n)
+    singles_01 = all(f.values[1 << i] in (0, 1) for i in range(f.n))
+    polymatroid = c.normalized and c.nondecreasing and submodular
+    polyquantoid = c.normalized and c.complementary and submodular
+    return replace(c, submodular=submodular, polymatroid=polymatroid,
+                   polyquantoid=polyquantoid,
+                   matroid=polymatroid and c.integer and singles_01,
+                   quantoid=polyquantoid and c.integer and singles_01)
+
+
+def full_minimization(src, exp):
+    """The values of an expansion or 2-factor of src, minimizing over every
+    source subset J rather than only the adapted ones.
+
+    A 2-factor block stands for two copies, so it costs 2 where a copy of a
+    free expansion costs 1."""
+    symmetric = exp.kind == QUANTOID_EXPANSION
+    weight = 2 if exp.kind == TWO_FACTOR else 1
+    images = [exp.map.image_mask(j) for j in range(1 << src.n)]
+
+    def value(K):
+        return min(src.values[j] + weight * ((K ^ images[j]) if symmetric
+                                             else (K & ~images[j])).bit_count()
+                   for j in range(1 << src.n))
+
+    return tuple(value(K) for K in range(1 << exp.map.expanded.n))

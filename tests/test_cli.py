@@ -1,12 +1,13 @@
 """CLI subcommands: document shapes, exit codes, and byte determinism."""
 
 import json
+import re
 
 import pytest
 
 from quantoid import documents
 from quantoid.cli import main
-from quantoid.setfn import scale
+from quantoid.setfn import from_table, scale
 
 from helpers import bell, e22, ghz3, uniform, zero_fn
 
@@ -27,6 +28,8 @@ def corpus(tmp_path):
     save("u24x2", documents.set_function_to_doc(scale(uniform(2, 4), 2)))
     save("e22", documents.set_function_to_doc(e22()))
     save("zero", documents.set_function_to_doc(zero_fn(2)))
+    save("modular666", documents.set_function_to_doc(
+        from_table(["1", "2", "3"], [6 * m.bit_count() for m in range(8)])))
     save("malformed", {"ground_set": ["1", "2"],
                        "values": {"": "0", "1": "1", "2": "1"}})
     save("bell_state", {"parties": ["1", "2"], "dims": [2, 2],
@@ -131,9 +134,9 @@ def test_expand_requires_mode(corpus, capsys):
     assert code == 2 and "mode" in err
 
 
-def test_expand_cap_from_environment(corpus, capsys, monkeypatch):
-    monkeypatch.setenv("QUANTOID_EXPANSION_CAP", "3")
-    code, _, err = run(capsys, "expand", corpus["e22"], "--mode", "quantoid")
+def test_expand_cap_from_environment(corpus, capsys):
+    # singletons 6, 6, 6 expand to 18 elements, past the 16-element limit
+    code, _, err = run(capsys, "expand", corpus["modular666"], "--mode", "matroid")
     assert code == 2
     assert err.startswith("ExpansionTooLarge")
 
@@ -157,6 +160,42 @@ def test_entropy_unnormalized_exit_two(corpus, capsys):
     code, _, err = run(capsys, "entropy", "--quantum", corpus["unnormalized"])
     assert code == 2
     assert err.startswith("NotNormalized")
+
+
+NAN = float("nan")
+MALFORMED_ENTROPY = [
+    ("SnapFailed", "--classical",
+     {"parties": ["1", "2"], "alphabets": [2, 2], "probs": [0.5, 0, 0, 0.5]}, ["--snap", "0"]),
+    ("DimensionMismatch", "--quantum",
+     {"parties": ["1"], "dims": ["a"], "amplitudes": [[1, 0], [0, 0]]}, []),
+    ("InvalidDistribution", "--classical",
+     {"parties": ["1"], "alphabets": ["a"], "probs": [1, 0]}, []),
+    ("InvalidDistribution", "--classical",
+     {"parties": ["1"], "alphabets": [2], "probs": [NAN, 1]}, []),
+    ("NotNormalized", "--quantum",
+     {"parties": ["1"], "dims": [2], "amplitudes": [[NAN, 0], [1, 0]]}, []),
+    ("MalformedDocument", "--classical",
+     {"parties": ["1"], "alphabets": [2], "probs": ["a", 1]}, []),
+]
+
+
+@pytest.mark.parametrize("error,flag,doc,extra", MALFORMED_ENTROPY,
+                         ids=["snap-0", "dims-string", "alphabets-string",
+                              "probs-nan", "amplitudes-nan", "probs-string"])
+def test_malformed_entropy_input_exit_two(tmp_path, capsys, error, flag, doc, extra):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "entropy", flag, str(path), *extra)
+    assert code == 2 and out == ""
+    assert re.fullmatch(r"\w+: [^\n]*\n", err) and err.startswith(f"{error}: ")
+
+
+def test_boolean_value_exit_two(tmp_path, capsys):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({"ground_set": ["1"], "values": {"": "0", "1": True}}))
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("MalformedRational: ")
 
 
 def test_missing_file_exit_two(capsys):

@@ -88,3 +88,17 @@ def test_tightness_examples():
     assert is_tight(uniform(1, 3))  # tight yet not selfdual
     assert not is_tight(uniform(2, 2))  # free matroid: any removal drops the total
     assert is_tight(zero_fn(2))
+
+
+def test_dual_of_normalized_tight_function_reduces_to_singleton_sum():
+    # f'(I) = f(N\I) - f(N) + sum of f(i) over i in I, once f({}) = 0 and f is tight
+    for kind, cap in (("polymatroid", 3), ("polyquantoid", 2)):
+        for n in range(4):
+            for f in enumerate_rank_functions(kind, n, cap):
+                if not is_tight(f):
+                    continue
+                v, full = f.values, f.full_mask
+                singles = [sum(v[1 << i] for i in range(n) if m >> i & 1)
+                           for m in range(1 << n)]
+                assert dual(f).values == tuple(v[full ^ m] - v[full] + singles[m]
+                                               for m in range(1 << n))

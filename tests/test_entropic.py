@@ -180,5 +180,5 @@ def test_snap_half_integers():
 
 def test_snap_rejects_bad_denominator():
     f = ApproxSetFunction(GroundSet(("1",)), (0.0, 0.5))
-    with pytest.raises(ValueError):
+    with pytest.raises(SnapFailed):
         snap_to_rational(f, 0)

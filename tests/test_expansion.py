@@ -20,19 +20,25 @@ from quantoid.expansion import (
     free_expand_polyquantoid,
     two_factor,
 )
-from quantoid.setfn import classify, enumerate_rank_functions, scale
+from quantoid.setfn import classify, enumerate_rank_functions, from_table, scale
 
-from helpers import bell, e22, ghz3, q24, uniform, zero_fn
+from helpers import bell, e22, full_minimization, ghz3, q24, uniform, zero_fn
 
 
 def doubled_u12():
     return scale(uniform(1, 2), 2)
 
 
+def modular_666():
+    """The modular polymatroid with singletons 6, 6, 6: 18 expanded elements."""
+    return from_table(["1", "2", "3"], [6 * m.bit_count() for m in range(8)])
+
+
 # -- matroid expansion -----------------------------------------------------------
 
 def test_expand_doubled_u12_gives_u24():
-    exp = free_expand_polymatroid(doubled_u12(), check_minimization=True)
+    exp = free_expand_polymatroid(doubled_u12())
+    assert exp.expanded_fn.values == full_minimization(doubled_u12(), exp)
     assert exp.map.blocks == (("1.0", "1.1"), ("2.0", "2.1"))
     assert exp.expanded_fn == uniform(2, 4, labels=exp.map.expanded.labels)
     assert classify(exp.expanded_fn).matroid
@@ -45,7 +51,8 @@ def test_expand_zero_polymatroid():
 
 
 def test_expand_u12_relabels():
-    exp = free_expand_polymatroid(uniform(1, 2), check_minimization=True)
+    exp = free_expand_polymatroid(uniform(1, 2))
+    assert exp.expanded_fn.values == full_minimization(uniform(1, 2), exp)
     assert exp.map.blocks == (("1.0",), ("2.0",))
     assert exp.expanded_fn.values == uniform(1, 2).values
 
@@ -58,20 +65,24 @@ def test_expand_rejects_non_integer():
 
 
 def test_expand_respects_cap():
-    with pytest.raises(ExpansionTooLarge):
-        free_expand_polymatroid(doubled_u12(), cap=3)
+    # 18 elements exceed the 16-element limit: ExpansionTooLarge, not GroundSetTooLarge
+    for builder in (free_expand_polymatroid, two_factor):
+        with pytest.raises(ExpansionTooLarge):
+            builder(modular_666())
 
 
 # -- quantoid expansion ----------------------------------------------------------
 
 def test_expand_e22_gives_q24():
-    exp = free_expand_polyquantoid(e22(), check_minimization=True)
+    exp = free_expand_polyquantoid(e22())
+    assert exp.expanded_fn.values == full_minimization(e22(), exp)
     assert exp.expanded_fn.values == q24().values
     assert classify(exp.expanded_fn).quantoid
 
 
 def test_expand_bell_is_bell_relabeled():
-    exp = free_expand_polyquantoid(bell(), check_minimization=True)
+    exp = free_expand_polyquantoid(bell())
+    assert exp.expanded_fn.values == full_minimization(bell(), exp)
     assert exp.map.blocks == (("1.0",), ("2.0",))
     assert exp.expanded_fn.values == bell().values
 
@@ -153,7 +164,8 @@ def test_expansion_identity_all_kinds():
         for builder, src in ((free_expand_polyquantoid, e),
                              (free_expand_polymatroid, h),
                              (two_factor, h)):
-            exp = builder(src, check_minimization=True)
+            exp = builder(src)
+            assert exp.expanded_fn.values == full_minimization(src, exp)
             for mask in range(1 << src.n):
                 assert exp.expanded_fn.values[exp.map.image_mask(mask)] \
                     == src.values[mask]
@@ -171,7 +183,8 @@ def test_expanded_value_depends_only_on_block_intersections():
 
 def test_quantoid_expansion_closure_small():
     for e in enumerate_rank_functions("polyquantoid", 2, 2):
-        exp = free_expand_polyquantoid(e, check_minimization=True)
+        exp = free_expand_polyquantoid(e)
+        assert exp.expanded_fn.values == full_minimization(e, exp)
         assert classify(exp.expanded_fn).quantoid
         # value is cardinality inside a single block
         for i in range(e.n):

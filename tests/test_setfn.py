@@ -23,7 +23,7 @@ from quantoid.setfn import (
     scale,
 )
 
-from helpers import bell, ghz3, labels_for, uniform, zero_fn
+from helpers import bell, classify_exhaustive, ghz3, labels_for, uniform, zero_fn
 
 
 # -- build -------------------------------------------------------------------
@@ -113,14 +113,14 @@ def test_classify_not_normalized():
 @pytest.mark.parametrize("fn", [uniform(2, 4), uniform(1, 3), bell(), ghz3(),
                                 from_table(["1", "2"], [0, 2, 1, 2])])
 def test_classify_local_equals_exhaustive(fn):
-    assert classify(fn) == classify(fn, exhaustive=True)
+    assert classify(fn) == classify_exhaustive(fn)
 
 
 @given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=6),
                 min_size=8, max_size=8))
 def test_classify_local_equals_exhaustive_random(vals):
     f = from_table(labels_for(3), vals)
-    assert classify(f).submodular == classify(f, exhaustive=True).submodular
+    assert classify(f).submodular == classify_exhaustive(f).submodular
 
 
 # -- scale ---------------------------------------------------------------------
@@ -181,7 +181,7 @@ def _brute_force(kind, n, cap):
     out = []
     for tail in itertools.product(range(cap + 1), repeat=(1 << n) - 1):
         f = from_table(labels_for(n), (0,) + tail)
-        c = classify(f, exhaustive=True)
+        c = classify_exhaustive(f)
         if (kind == "polymatroid" and c.polymatroid) or \
            (kind == "polyquantoid" and c.polyquantoid):
             out.append(f.values)

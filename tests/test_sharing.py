@@ -4,8 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from quantoid.correspondence import to_polymatroid
+from quantoid import expansion, sharing
+from quantoid.correspondence import to_polymatroid, to_polyquantoid
+from quantoid.duality import is_selfdual, is_tight
 from quantoid.errors import NotAMatroid, NotIdeal, NotOfKind, UnknownElement
+from quantoid.expansion import expansion_correspondence_holds
 from quantoid.setfn import classify, enumerate_rank_functions, from_table, scale
 from quantoid.sharing import (
     access_from_circuits,
@@ -15,7 +18,7 @@ from quantoid.sharing import (
     matroid_structure,
 )
 
-from helpers import bell, ghz3, labels_for, q24, uniform, zero_fn
+from helpers import bell, e22, ghz3, labels_for, q24, uniform, zero_fn
 
 
 # -- analyze -------------------------------------------------------------------
@@ -216,3 +219,38 @@ def test_polyquantoid_flags_match_partner_polymatroid():
             for dealer in e.labels:
                 assert analyze_sharing(e, dealer, "polyquantoid") == \
                     analyze_sharing(h, dealer, "polymatroid")
+
+
+def test_extracted_rank_is_a_matroid():
+    extract = {"polymatroid": extract_matroid, "polyquantoid": extract_selfdual_matroid}
+    for kind, cap in (("polymatroid", 3), ("polyquantoid", 2)):
+        for n in range(4):
+            for f in enumerate_rank_functions(kind, n, cap):
+                for dealer in f.labels:
+                    rep = analyze_sharing(f, dealer, kind)
+                    if not rep.ideal:
+                        continue
+                    t, rank = rep.extraction
+                    assert extract[kind](f, dealer) == (t, rank)
+                    assert t > 0 and classify(rank).matroid
+                    if kind == "polymatroid":
+                        assert scale(rank, t) == f
+                    else:
+                        assert is_tight(rank) and is_selfdual(rank)
+                        assert scale(to_polyquantoid(rank), t) == f
+
+
+def test_entry_points_classify_once(monkeypatch):
+    calls = []
+
+    def counting(f):
+        calls.append(f)
+        return classify(f)
+
+    monkeypatch.setattr(sharing, "classify", counting)
+    monkeypatch.setattr(expansion, "classify", counting)
+    assert analyze_sharing(q24(), "1", "polyquantoid").ideal
+    assert len(calls) == 1
+    calls.clear()
+    assert expansion_correspondence_holds(e22())
+    assert len(calls) == 1
