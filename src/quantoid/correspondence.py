@@ -15,18 +15,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .setfn import SetFunction, singleton_sums
-
-_HALF = Fraction(1, 2)
+from .setfn import SetFunction, _from_scaled, _scaled, _singleton_sums
 
 
 def to_polymatroid(e: SetFunction) -> SetFunction:
     """Add the singleton sum to every value (polyquantoid -> tight selfdual polymatroid)."""
-    sums = singleton_sums(e)
-    return SetFunction(e.ground, tuple(x + s for x, s in zip(e.values, sums)))
+    a, den = _scaled(e.values)
+    return _from_scaled(e.ground, a + _singleton_sums(a, e.n), Fraction(1, den))
 
 
 def to_polyquantoid(h: SetFunction) -> SetFunction:
     """Subtract half the singleton sum from every value; half-integers may appear."""
-    sums = singleton_sums(h)
-    return SetFunction(h.ground, tuple(x - _HALF * s for x, s in zip(h.values, sums)))
+    a, den = _scaled(h.values)
+    return _from_scaled(h.ground, 2 * a - _singleton_sums(a, h.n), Fraction(1, 2 * den))

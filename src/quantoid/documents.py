@@ -28,6 +28,10 @@ def dumps(doc) -> str:
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _field(doc, name: str, kind: type):
     if not isinstance(doc, dict) or name not in doc:
         raise MalformedDocument(name)
@@ -59,22 +63,22 @@ def approx_set_function_to_doc(f: ApproxSetFunction) -> dict:
 
 
 def distribution_from_doc(doc) -> JointDistribution:
-    parties = GroundSet(tuple(str(x) for x in _field(doc, "parties", list)))
+    parties = GroundSet(tuple(_field(doc, "parties", list)))
     alphabets = _field(doc, "alphabets", list)
     probs = _field(doc, "probs", list)
-    if not all(isinstance(p, (int, float)) for p in probs):
+    if not all(_is_number(p) for p in probs):
         raise MalformedDocument("probs: expected numbers")
     return JointDistribution(parties, tuple(alphabets), tuple(probs))
 
 
 def pure_state_from_doc(doc) -> PureState:
-    parties = GroundSet(tuple(str(x) for x in _field(doc, "parties", list)))
+    parties = GroundSet(tuple(_field(doc, "parties", list)))
     dims = _field(doc, "dims", list)
     raw = _field(doc, "amplitudes", list)
     amplitudes = []
     for entry in raw:
         if not (isinstance(entry, list) and len(entry) == 2
-                and all(isinstance(x, (int, float)) for x in entry)):
+                and all(_is_number(x) for x in entry)):
             raise MalformedDocument("amplitudes: expected [re, im] pairs")
         amplitudes.append(complex(entry[0], entry[1]))
     return PureState(parties, tuple(dims), tuple(amplitudes))

@@ -11,30 +11,22 @@ and differs from classical matroid duality (which is not implemented here).
 
 from __future__ import annotations
 
-from .setfn import SetFunction, modular_sums
+from fractions import Fraction
+
+from .setfn import SetFunction, _dual, _from_scaled, _scaled, _selfdual, _tight
 
 
 def dual(f: SetFunction) -> SetFunction:
     """Apply the duality mapping; total on every set function, computed exactly."""
-    v = f.values
-    n = f.n
-    full = f.full_mask
-    size = 1 << n
-
-    gain = [v[1 << i] - v[0] + v[full] - v[full ^ (1 << i)] for i in range(n)]
-    gain_sum = modular_sums(gain)
-    base = v[0] - v[full]
-    out = tuple(v[full ^ m] + base + gain_sum[m] for m in range(size))
-    return SetFunction(f.ground, out)
+    a, den = _scaled(f.values)
+    return _from_scaled(f.ground, _dual(a, f.n), Fraction(1, den))
 
 
 def is_tight(f: SetFunction) -> bool:
     """True when dropping any single element does not change the total value."""
-    v = f.values
-    full = f.full_mask
-    return all(v[full ^ (1 << i)] == v[full] for i in range(f.n))
+    return _tight(f.values, f.n)
 
 
 def is_selfdual(f: SetFunction) -> bool:
     """True when f is a fixed point of the duality mapping (exact comparison)."""
-    return dual(f).values == f.values
+    return _selfdual(_scaled(f.values)[0], f.n)

@@ -120,7 +120,8 @@ def _sizes_per_party(raw, n: int, error: type, message: str) -> tuple:
         sizes = tuple(operator.index(s) for s in raw)
     except TypeError:
         raise error(message) from None
-    if len(sizes) != n or any(s < 1 for s in sizes):
+    if (len(sizes) != n or any(s < 1 for s in sizes)
+            or any(isinstance(s, bool) for s in raw)):
         raise error(message)
     return sizes
 

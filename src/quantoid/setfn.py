@@ -4,14 +4,28 @@ A set function assigns one exact rational to every subset of a finite
 labeled ground set.  Subsets are bitmasks: element i of the ground set
 corresponds to bit i, so the whole function is a dense table of length
 2^n.  Everything here is immutable and pure.
+
+Whole-table work runs on one exact integer kernel.  Every axiom is a
+homogeneous linear test on the table, and the duality and correspondence
+maps are linear, so the table is multiplied by den, the lcm of its
+denominators, and computed on as integers with numpy vector operations,
+one per element or pair of elements; results turn back into Fractions
+once, at the end.  The integers are int64 only when the largest
+expression any check or map forms on them fits: the bound is
+max|x| * (4n + 4) < 2**63 (a dual value is three table values plus n
+gains of four).  Otherwise the same code runs on Python ints in an
+object array, so the result is exact either way.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .errors import (
     DuplicateLabel,
@@ -57,6 +71,9 @@ class GroundSet:
     _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for x in self.labels:
+            if isinstance(x, bool):
+                raise InvalidLabel(repr(x))
         labels = tuple(str(x) for x in self.labels)
         object.__setattr__(self, "labels", labels)
         if len(labels) > MAX_GROUND_SIZE:
@@ -128,7 +145,8 @@ class SetFunction:
         expected = 1 << self.ground.n
         if len(self.values) != expected:
             raise MissingSubset(f"expected {expected} values, got {len(self.values)}")
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(
+            v if type(v) is Fraction else Fraction(v) for v in self.values))
 
     @property
     def n(self) -> int:
@@ -159,7 +177,7 @@ def build(labels: Sequence, values: Mapping) -> SetFunction:
 
     Every one of the 2^n canonical keys must be present; floats are rejected.
     """
-    ground = GroundSet(tuple(str(x) for x in labels))
+    ground = GroundSet(tuple(labels))
     canonical = [ground.key_of(m) for m in ground.subsets()]
     table = []
     for key in canonical:
@@ -180,23 +198,8 @@ def build(labels: Sequence, values: Mapping) -> SetFunction:
 
 def from_table(labels: Sequence, values: Iterable) -> SetFunction:
     """Build a SetFunction from a value table already in subset-mask order."""
-    ground = GroundSet(tuple(str(x) for x in labels))
+    ground = GroundSet(tuple(labels))
     return SetFunction(ground, tuple(as_rational(v) for v in values))
-
-
-def modular_sums(weights: Sequence[Fraction]) -> list[Fraction]:
-    """For every subset mask of len(weights) elements, the sum of the weights
-    of its members."""
-    sums = [Fraction(0)] * (1 << len(weights))
-    for m in range(1, len(sums)):
-        low = m & -m
-        sums[m] = sums[m ^ low] + weights[low.bit_length() - 1]
-    return sums
-
-
-def singleton_sums(f: SetFunction) -> tuple[Fraction, ...]:
-    """For every subset mask, the sum of f over the subset's singletons."""
-    return tuple(modular_sums([f.values[1 << i] for i in range(f.n)]))
 
 
 def submasks(mask: int) -> Iterator[int]:
@@ -209,17 +212,82 @@ def submasks(mask: int) -> Iterator[int]:
         s = (s - mask) & mask
 
 
-def _submodular_local(values: Sequence[Fraction], n: int) -> bool:
-    # Two-point criterion: for every S and distinct a, b outside S,
-    # f(S+a) + f(S+b) >= f(S+a+b) + f(S).  Equivalent to the all-pairs
-    # definition for functions on the full subset lattice.
-    for m in range(1 << n):
-        bits = [i for i in range(n) if m >> i & 1]
-        for a, b in itertools.combinations(bits, 2):
-            if (values[m ^ (1 << a)] + values[m ^ (1 << b)]
-                    < values[m] + values[m ^ (1 << a) ^ (1 << b)]):
+# -- the exact integer kernel ------------------------------------------------
+
+def _scaled(values: Sequence[Fraction]) -> tuple[np.ndarray, int]:
+    """The table times den = lcm of its denominators, as integers, and den.
+
+    int64 when max|x| * (4n + 4) < 2**63, else Python ints (dtype=object).
+    """
+    den = math.lcm(*{x.denominator for x in values})
+    nums = [x.numerator * (den // x.denominator) for x in values]
+    n = len(nums).bit_length() - 1
+    dtype = np.int64 if max(map(abs, nums)) * (4 * n + 4) < 2**63 else object
+    return np.array(nums, dtype=dtype), den
+
+
+def _from_scaled(ground: GroundSet, table: np.ndarray, unit: Fraction) -> SetFunction:
+    """The set function with value x * unit on each mask, x read from table.
+
+    Tables repeat values, so each distinct x becomes a Fraction once.
+    """
+    ints = table.tolist()
+    value = {x: unit * x for x in set(ints)}
+    return SetFunction(ground, tuple(map(value.__getitem__, ints)))
+
+
+def _modular(weights: Sequence, dtype) -> np.ndarray:
+    """For every subset mask, the sum of its members' weights, by doubling."""
+    sums = np.zeros(1, dtype=dtype)
+    for w in weights:
+        sums = np.concatenate((sums, sums + w))
+    return sums
+
+
+def _singleton_sums(a: np.ndarray, n: int) -> np.ndarray:
+    return _modular([a[1 << i] for i in range(n)], a.dtype)
+
+
+def _nondecreasing(a: np.ndarray, n: int) -> bool:
+    # axis 1 is bit i: f(S) <= f(S+i) for every S without i
+    for i in range(n):
+        r = a.reshape(-1, 2, 1 << i)
+        if not (r[:, 0] <= r[:, 1]).all():
+            return False
+    return True
+
+
+def _submodular(a: np.ndarray, n: int) -> bool:
+    # Two-point criterion: for every S and distinct b, c outside S,
+    # f(S+b) + f(S+c) >= f(S+b+c) + f(S), that is, the gain of b does not
+    # grow when c joins.  Equivalent to the all-pairs definition for
+    # functions on the full subset lattice.  One pair at a time keeps
+    # memory at one table.
+    for b in range(1, n):
+        r = a.reshape(-1, 2, 1 << b)
+        gain = (r[:, 1] - r[:, 0]).ravel()  # over the other elements; c < b keeps bit c
+        for c in range(b):
+            g = gain.reshape(-1, 2, 1 << c)
+            if not (g[:, 0] >= g[:, 1]).all():
                 return False
     return True
+
+
+def _tight(v: Sequence, n: int) -> bool:
+    full = (1 << n) - 1
+    return all(v[full ^ (1 << i)] == v[full] for i in range(n))
+
+
+def _dual(a: np.ndarray, n: int) -> np.ndarray:
+    # f'(I) = f(N-I) + f({}) - f(N) + sum over i in I of
+    # [f(i) - f({}) + f(N) - f(N-i)]; N-I is the reversed table
+    full = len(a) - 1
+    gains = [a[1 << i] - a[0] + a[full] - a[full ^ (1 << i)] for i in range(n)]
+    return a[::-1] + (a[0] - a[full]) + _modular(gains, a.dtype)
+
+
+def _selfdual(a: np.ndarray, n: int) -> bool:
+    return bool((_dual(a, n) == a).all())
 
 
 @dataclass(frozen=True)
@@ -255,29 +323,26 @@ class Classification:
 
 
 def classify(f: SetFunction) -> Classification:
-    """Compute every axiom flag by checks over every subset.
+    """Compute every axiom flag, exactly, on the integer-scaled table.
 
-    Submodularity is checked by the local two-point criterion.
+    The table is scaled by the lcm of its denominators (see the module
+    docstring for the int64 overflow guard); every linear axiom is checked
+    there with one vector comparison per element or pair of elements.
+    Submodularity uses the local two-point criterion.  Only `integer` (the
+    lcm is 1) and the singletons-in-{0, 1} part of matroid and quantoid
+    need the unscaled values.
     """
-    from .duality import dual, is_tight  # deferred: duality builds on this module
-
     v = f.values
     n = f.n
-    full = f.full_mask
-    size = 1 << n
+    a, den = _scaled(v)
 
     normalized = v[0] == 0
-    nondecreasing = all(
-        v[m ^ (1 << i)] <= v[m]
-        for m in range(size)
-        for i in range(n)
-        if m >> i & 1
-    )
-    submodular = _submodular_local(v, n)
-    complementary = all(v[m] == v[full ^ m] for m in range(size))
-    tight = is_tight(f)
-    integer = all(x.denominator == 1 for x in v)
-    selfdual = dual(f).values == v
+    nondecreasing = _nondecreasing(a, n)
+    submodular = _submodular(a, n)
+    complementary = bool((a == a[::-1]).all())  # N-m is full - m
+    tight = _tight(a, n)
+    integer = den == 1
+    selfdual = _selfdual(a, n)
     singles_01 = all(v[1 << i] in (0, 1) for i in range(n))
 
     polymatroid = normalized and nondecreasing and submodular
@@ -302,7 +367,8 @@ def scale(f: SetFunction, t) -> SetFunction:
     t = as_rational(t)
     if t <= 0:
         raise NonpositiveScale(str(t))
-    return SetFunction(f.ground, tuple(x * t for x in f.values))
+    a, den = _scaled(f.values)
+    return _from_scaled(f.ground, a, t / den)
 
 
 def enumerate_rank_functions(kind: str, n: int, cap: int,
@@ -321,7 +387,7 @@ def enumerate_rank_functions(kind: str, n: int, cap: int,
         raise ValueError("n and cap must be nonnegative")
     if labels is None:
         labels = tuple(str(i + 1) for i in range(n))
-    ground = GroundSet(tuple(str(x) for x in labels))
+    ground = GroundSet(tuple(labels))
     if ground.n != n:
         raise ValueError("labels length does not match n")
 

@@ -71,10 +71,13 @@ def _sharing_flags(f: SetFunction, dealer_bit: int, quantum: bool) -> _Flags:
         elif inc != secret:
             perfect = False
 
+    # f is validated, so the authorized family is upward closed (the
+    # increment shrinks as coalitions grow) and one step down decides
+    # minimality
     authorized_set = set(authorized)
     minimal = [
         m for m in authorized
-        if not any(s != m and s in authorized_set for s in submasks(m))
+        if not any(m >> i & 1 and m ^ (1 << i) in authorized_set for i in range(f.n))
     ]
 
     essential = []

@@ -2,6 +2,7 @@
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -78,7 +79,7 @@ def test_dual_writes_u23(corpus, capsys):
 def test_hat_then_vee_round_trips(corpus, capsys, tmp_path):
     mid = str(tmp_path / "mid.json")
     assert run(capsys, "hat", corpus["bell"], mid)[0] == 0
-    assert documents.set_function_from_doc(json.loads(open(mid).read())) \
+    assert documents.set_function_from_doc(json.loads(Path(mid).read_text())) \
         == scale(uniform(1, 2), 2)
     code, out, _ = run(capsys, "vee", mid)
     assert code == 0
@@ -196,6 +197,35 @@ def test_boolean_value_exit_two(tmp_path, capsys):
     code, out, err = run(capsys, "check", str(path))
     assert code == 2 and out == ""
     assert err.startswith("MalformedRational: ")
+
+
+BOOLEAN_DOCUMENTS = [
+    ("InvalidLabel", ["check"],
+     {"ground_set": [True], "values": {"": "0", "True": "1"}}),
+    ("InvalidLabel", ["entropy", "--classical"],
+     {"parties": [False], "alphabets": [2], "probs": [1, 0]}),
+    ("InvalidLabel", ["entropy", "--quantum"],
+     {"parties": [False], "dims": [2], "amplitudes": [[1, 0], [0, 0]]}),
+    ("InvalidDistribution", ["entropy", "--classical"],
+     {"parties": ["1"], "alphabets": [True], "probs": [1]}),
+    ("MalformedDocument", ["entropy", "--classical"],
+     {"parties": ["1"], "alphabets": [True], "probs": [True]}),
+    ("DimensionMismatch", ["entropy", "--quantum"],
+     {"parties": ["1"], "dims": [True], "amplitudes": [[1, 0]]}),
+    ("MalformedDocument", ["entropy", "--quantum"],
+     {"parties": ["1"], "dims": [2], "amplitudes": [[True, 0], [0, 0]]}),
+]
+
+
+@pytest.mark.parametrize("error,command,doc", BOOLEAN_DOCUMENTS,
+                         ids=["ground-set", "parties-classical", "parties-quantum",
+                              "alphabets", "probs", "dims", "amplitudes"])
+def test_boolean_outside_values_exit_two(tmp_path, capsys, error, command, doc):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *command, str(path))
+    assert code == 2 and out == ""
+    assert re.fullmatch(r"\w+: [^\n]*\n", err) and err.startswith(f"{error}: ")
 
 
 def test_missing_file_exit_two(capsys):

@@ -1,6 +1,7 @@
 """Secret-sharing analysis, matroid extraction, and circuit structure."""
 
 from fractions import Fraction
+import random
 
 import pytest
 
@@ -18,7 +19,17 @@ from quantoid.sharing import (
     matroid_structure,
 )
 
-from helpers import bell, e22, ghz3, labels_for, q24, uniform, zero_fn
+from helpers import (
+    bell,
+    e22,
+    ghz3,
+    labels_for,
+    minimal_by_submasks,
+    q24,
+    random_rational_polymatroid,
+    uniform,
+    zero_fn,
+)
 
 
 # -- analyze -------------------------------------------------------------------
@@ -219,6 +230,19 @@ def test_polyquantoid_flags_match_partner_polymatroid():
             for dealer in e.labels:
                 assert analyze_sharing(e, dealer, "polyquantoid") == \
                     analyze_sharing(h, dealer, "polymatroid")
+
+
+def test_minimal_coalitions_match_submask_walk():
+    cases = [(f, kind) for kind, n, cap in [("polymatroid", 3, 3), ("polymatroid", 4, 2),
+                                            ("polyquantoid", 3, 2), ("polyquantoid", 4, 2)]
+             for f in enumerate_rank_functions(kind, n, cap)]
+    rng = random.Random(2012)
+    cases += [(random_rational_polymatroid(rng, n), "polymatroid")
+              for n in range(1, 8) for _ in range(4)]
+    for f, kind in cases:
+        for i in range(f.n):
+            flags = sharing._sharing_flags(f, 1 << i, kind == "polyquantoid")
+            assert flags.minimal == minimal_by_submasks(flags.authorized)
 
 
 def test_extracted_rank_is_a_matroid():
