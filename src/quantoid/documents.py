@@ -57,7 +57,7 @@ def set_function_from_doc(doc) -> SetFunction:
 def approx_set_function_to_doc(f: ApproxSetFunction) -> dict:
     return {
         "ground_set": list(f.ground.labels),
-        "values": {f.ground.key_of(m): f.values[m] for m in f.ground.subsets()},
+        "values": dict(zip(f.ground.subset_keys(), f.values)),
         "tol": f.tol,
     }
 

@@ -1,29 +1,54 @@
 """Free expansions of integer polymatroids to matroids and of integer
 polyquantoids to quantoids.
 
-Each source element i is replaced by a block of fresh elements, one per
-unit of its singleton value, named "<label>.<k>" with k counting from 0.
-The expanded value on K is a minimization over source subsets J:
+Each source element i is replaced by a block of s_i = f(i) fresh elements,
+one per unit of its singleton value, named "<label>.<k>" with k counting
+from 0.  The expanded value on K is a minimization over source subsets J:
 
     matroid expansion:   min over J of  source(J) + |K \\ blocks(J)|
     quantoid expansion:  min over J of  source(J) + |K symdiff blocks(J)|
 
-The minimum is attained on the *adapted* sets, those J sandwiched between
-the elements whose block meets K and the elements whose nonempty block
-lies inside K, so only they are searched.  An expansion has at most
-MAX_GROUND_SIZE elements.
+Copies inside a block are interchangeable, so the value depends only on
+the count vector c_i = |K & block_i|:
+
+    matroid:   min over J of  h(J) + sum over i not in J of c_i
+    quantoid:  min over J of  e(J) + sum over i in J of (s_i - c_i)
+                                   + sum over i not in J of c_i
+
+There are prod(s_i + 1) count vectors, at most the 2^|E| expanded masks
+and far fewer when blocks are large.  The cost is a sum of one term per
+element, so the minimum over J is taken one element at a time: the axis
+"i in J or not" of the integer table becomes the axis c_i = 0..s_i, each
+entry the smaller of the two costs.  That is O(n * max(2^n, prod(s_i + 1)))
+work, where a minimum over all J for each count vector would be the
+product of the two.  Every expanded mask then reads its value from the
+count table at the mixed-radix index of its per-block popcounts, which is
+a modular sum over the copies.  An expansion has at most MAX_GROUND_SIZE
+elements.
+
+The arithmetic is int64 with no overflow guard, because it cannot
+overflow: a validated source is normalized and submodular, and either
+monotone or complementary, so 0 <= f(J) <= sum of s_i <= MAX_GROUND_SIZE
+(twice that for the polymatroid partner in the Lemma 5.2 check), and every
+cost is at most twice that bound.
 
 A 2-factor groups the copies of a matroid expansion into two-element
 blocks (consecutive copies are paired) and restricts the expanded function
-to unions of whole blocks, producing a polymatroid on the blocks.
+to unions of whole blocks, producing a polymatroid on the blocks.  On the
+pair counts p_i it is min over J of h(J) + 2 * sum over i not in J of p_i,
+the same kernel with each pair costing 2, so the copy-level expansion is
+never built.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 from .correspondence import to_polymatroid, to_polyquantoid
 from .errors import (
@@ -32,7 +57,15 @@ from .errors import (
     NotIntegerPolyquantoid,
     OddSingletonValue,
 )
-from .setfn import MAX_GROUND_SIZE, GroundSet, SetFunction, classify, submasks
+from .setfn import (
+    MAX_GROUND_SIZE,
+    GroundSet,
+    SetFunction,
+    _from_scaled,
+    _modular,
+    classify,
+    submasks,
+)
 
 MATROID_EXPANSION = "matroid-expansion"
 QUANTOID_EXPANSION = "quantoid-expansion"
@@ -105,27 +138,39 @@ def adapted_sets(block_map: BlockMap, subset) -> tuple:
     return tuple(block_map.source.members(m) for m in out)
 
 
-def _expanded_values(src: SetFunction, bmap: BlockMap, symmetric: bool) -> tuple:
-    n = src.n
-    v = src.values
-    images = [bmap.image_mask(j) for j in range(1 << n)]
-    blocks = [bmap.block_mask(i) for i in range(n)]
+def _count_table(a: np.ndarray, sizes: Sequence[int], weight: int,
+                 symmetric: bool) -> np.ndarray:
+    """For every count vector c, 0 <= c_i <= sizes[i], the minimum over
+    source subsets J of
 
-    def cost(j: int, K: int) -> Fraction:
-        d = (K ^ images[j]) if symmetric else (K & ~images[j])
-        return v[j] + d.bit_count()
+        a[J] + weight * (sum over i not in J of c_i
+                         + [symmetric] sum over i in J of (sizes[i] - c_i)).
 
-    out = []
-    for K in range(1 << bmap.expanded.n):
-        upper = 0
-        lower = 0
-        for i, b in enumerate(blocks):
-            if b & K:
-                upper |= 1 << i
-                if b & K == b:
-                    lower |= 1 << i
-        out.append(min(cost(lower | s, K) for s in submasks(upper & ~lower)))
-    return tuple(out)
+    The result is indexed in mixed radix sizes[i] + 1, element 0 fastest.
+    """
+    radix = [2] * len(sizes)
+    # zero-size blocks first: the table only shrinks before it grows, so it
+    # never holds more than max(2^n, prod(s_i + 1)) entries
+    for i in sorted(range(len(sizes)), key=lambda i: sizes[i] > 0):
+        s = sizes[i]
+        r = a.reshape(-1, 2, math.prod(radix[:i]))
+        c = np.arange(s + 1).reshape(-1, 1)
+        a = np.minimum(r[:, :1] + weight * c,
+                       r[:, 1:] + (weight * (s - c) if symmetric else 0)).ravel()
+        radix[i] = s + 1
+    return a
+
+
+def _expanded_fn(f: SetFunction, bmap: BlockMap, weight: int,
+                 symmetric: bool) -> SetFunction:
+    sizes = [len(block) for block in bmap.blocks]
+    # f is a validated integer function: every denominator is 1
+    table = _count_table(np.array([x.numerator for x in f.values], dtype=np.int64),
+                         sizes, weight, symmetric)
+    # each copy in block i adds the place value of digit i to the index
+    index = _modular([math.prod(t + 1 for t in sizes[:i])
+                      for i, s in enumerate(sizes) for _ in range(s)], np.int64)
+    return _from_scaled(bmap.expanded, table[index], Fraction(1))
 
 
 def _require_integer(f: SetFunction, kind: str):
@@ -146,8 +191,8 @@ def _block_sizes(f: SetFunction) -> list:
 
 def _expansion(f: SetFunction, kind: str) -> Expansion:
     bmap = BlockMap.from_sizes(f.ground, _block_sizes(f))
-    values = _expanded_values(f, bmap, symmetric=kind == QUANTOID_EXPANSION)
-    return Expansion(map=bmap, expanded_fn=SetFunction(bmap.expanded, values), kind=kind)
+    fn = _expanded_fn(f, bmap, 1, symmetric=kind == QUANTOID_EXPANSION)
+    return Expansion(map=bmap, expanded_fn=fn, kind=kind)
 
 
 def free_expand_polymatroid(h: SetFunction) -> Expansion:
@@ -173,37 +218,15 @@ def two_factor(h: SetFunction) -> Expansion:
     for i in range(h.n):
         if int(h.values[1 << i]) % 2:
             raise OddSingletonValue(h.labels[i])
+    _block_sizes(h)  # the copies the pairs stand for obey the expansion limit
     return _two_factor(h)
 
 
 def _two_factor(h: SetFunction) -> Expansion:
-    inner = _expansion(h, MATROID_EXPANSION)
-    pair_blocks = tuple(
-        tuple(f"{label}.{k}" for k in range(int(h.values[1 << i]) // 2))
-        for i, label in enumerate(h.labels)
-    )
-    bmap = BlockMap(source=h.ground, blocks=pair_blocks,
-                    expanded=GroundSet(tuple(itertools.chain.from_iterable(pair_blocks))))
-
-    # block k of source element i covers copies i.(2k) and i.(2k+1)
-    pair_masks = []
-    offset = 0
-    for i in range(h.n):
-        width = int(h.values[1 << i])
-        for k in range(width // 2):
-            pair_masks.append(0b11 << (offset + 2 * k))
-        offset += width
-
-    inner_values = inner.expanded_fn.values
-    values = []
-    for M in range(1 << bmap.expanded.n):
-        union = 0
-        for j in range(len(pair_masks)):
-            if M >> j & 1:
-                union |= pair_masks[j]
-        values.append(inner_values[union])
-    return Expansion(map=bmap, expanded_fn=SetFunction(bmap.expanded, tuple(values)),
-                     kind=TWO_FACTOR)
+    # block k of source element i stands for copies i.(2k) and i.(2k+1)
+    bmap = BlockMap.from_sizes(h.ground, [int(h.values[1 << i]) // 2 for i in range(h.n)])
+    fn = _expanded_fn(h, bmap, 2, symmetric=False)
+    return Expansion(map=bmap, expanded_fn=fn, kind=TWO_FACTOR)
 
 
 def expansion_correspondence_holds(e: SetFunction) -> bool:
@@ -212,6 +235,9 @@ def expansion_correspondence_holds(e: SetFunction) -> bool:
     Route one expands e directly to a quantoid.  Route two maps e to its
     polymatroid partner, freely expands that, takes the 2-factor on the
     same block labels, and maps back.  The two must agree value for value.
+    The 2-factor is computed on pair counts, so the partner's expansion,
+    twice the size of the direct one, is never built: the check is limited
+    only by the direct expansion.
     """
     _require_integer(e, QUANTOID_EXPANSION)
     direct = _expansion(e, QUANTOID_EXPANSION)

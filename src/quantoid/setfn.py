@@ -121,6 +121,17 @@ class GroundSet:
         """
         return ",".join(self.members(mask))
 
+    def subset_keys(self) -> list[str]:
+        """key_of(m) for every subset mask m, in increasing order.
+
+        Built by doubling: the keys of the masks with top bit i are those
+        below it, each with label i appended.
+        """
+        keys = [""]
+        for label in self.labels:
+            keys += [f"{x},{label}" if x else label for x in keys]
+        return keys
+
     def mask_of_key(self, key: str) -> int:
         """Inverse of key_of.  Accepts members in any order but rejects repeats."""
         if key == "":
@@ -169,7 +180,7 @@ class SetFunction:
 
     def table(self) -> dict:
         """Mapping from canonical subset key to value, in mask order."""
-        return {self.ground.key_of(m): self.values[m] for m in self.ground.subsets()}
+        return dict(zip(self.ground.subset_keys(), self.values))
 
 
 def build(labels: Sequence, values: Mapping) -> SetFunction:
@@ -178,7 +189,7 @@ def build(labels: Sequence, values: Mapping) -> SetFunction:
     Every one of the 2^n canonical keys must be present; floats are rejected.
     """
     ground = GroundSet(tuple(labels))
-    canonical = [ground.key_of(m) for m in ground.subsets()]
+    canonical = ground.subset_keys()
     table = []
     for key in canonical:
         if key not in values:

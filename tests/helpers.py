@@ -6,7 +6,7 @@ from fractions import Fraction
 import itertools
 import random
 
-from quantoid.expansion import QUANTOID_EXPANSION, TWO_FACTOR
+from quantoid.expansion import QUANTOID_EXPANSION, TWO_FACTOR, adapted_sets
 from quantoid.setfn import Classification, SetFunction, from_table, submasks
 
 
@@ -189,3 +189,19 @@ def full_minimization(src, exp):
                    for j in range(1 << src.n))
 
     return tuple(value(K) for K in range(1 << exp.map.expanded.n))
+
+
+def adapted_minimization(src, exp):
+    """The values of an expansion or 2-factor of src, one expanded mask at a
+    time, minimizing only over the source subsets adapted to it (the search
+    the library ran before it computed on count vectors)."""
+    symmetric = exp.kind == QUANTOID_EXPANSION
+    weight = 2 if exp.kind == TWO_FACTOR else 1
+
+    def cost(J, K):
+        image = exp.map.image_mask(src.ground.mask_of(J))
+        d = (K ^ image) if symmetric else (K & ~image)
+        return src.value(J) + weight * d.bit_count()
+
+    return tuple(min(cost(J, K) for J in adapted_sets(exp.map, K))
+                 for K in range(1 << exp.map.expanded.n))

@@ -130,6 +130,15 @@ def test_expand_verify_cross_check(corpus, capsys):
     assert json.loads(out) == {"lemma52": True}
 
 
+def test_expand_verify_at_full_size(tmp_path, capsys):
+    # 9 direct copies; the polymatroid partner stands for 18
+    path = tmp_path / "ghz3x3.json"
+    path.write_text(json.dumps(documents.set_function_to_doc(scale(ghz3(), 3))))
+    code, out, _ = run(capsys, "expand", str(path), "--verify-lemma52")
+    assert code == 0
+    assert json.loads(out) == {"lemma52": True}
+
+
 def test_expand_requires_mode(corpus, capsys):
     code, _, err = run(capsys, "expand", corpus["bell"])
     assert code == 2 and "mode" in err

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from quantoid import expansion
 from quantoid.correspondence import to_polymatroid
 from quantoid.duality import is_selfdual, is_tight
 from quantoid.errors import (
@@ -22,7 +23,16 @@ from quantoid.expansion import (
 )
 from quantoid.setfn import classify, enumerate_rank_functions, from_table, scale
 
-from helpers import bell, e22, full_minimization, ghz3, q24, uniform, zero_fn
+from helpers import (
+    adapted_minimization,
+    bell,
+    e22,
+    full_minimization,
+    ghz3,
+    q24,
+    uniform,
+    zero_fn,
+)
 
 
 def doubled_u12():
@@ -224,3 +234,67 @@ def test_block_map_rejects_overlap():
         BlockMap(source=GroundSet(("1", "2")),
                  blocks=(("a",), ("a",)),
                  expanded=GroundSet(("a",)))
+
+
+# -- the count-vector kernel -----------------------------------------------------
+
+def _integer_sources():
+    """Every integer polymatroid (n <= 3, cap 3) and polyquantoid (n <= 4,
+    cap 2), with its free expansion; n = 0 and zero-size blocks included."""
+    for n in range(4):
+        for h in enumerate_rank_functions("polymatroid", n, 3):
+            yield h, free_expand_polymatroid
+    for n in range(5):
+        for e in enumerate_rank_functions("polyquantoid", n, 2):
+            yield e, free_expand_polyquantoid
+
+
+def test_count_kernel_equals_oracles():
+    seen_empty_block = seen_empty_ground = False
+    for src, builder in _integer_sources():
+        seen_empty_ground |= src.n == 0
+        seen_empty_block |= any(src.values[1 << i] == 0 for i in range(src.n))
+        cases = [(src, builder(src))]
+        if builder is free_expand_polymatroid:
+            # a doubled source may stand for more than 16 copies, so its
+            # 2-factor is taken past the public limit
+            doubled = scale(src, 2)
+            cases.append((doubled, expansion._two_factor(doubled)))
+        for source, exp in cases:
+            values = exp.expanded_fn.values
+            assert values == full_minimization(source, exp)
+            assert values == adapted_minimization(source, exp)
+    assert seen_empty_block and seen_empty_ground
+
+
+def test_values_stay_within_the_expansion_size():
+    # 0 <= f(J) <= sum of the singletons: why the kernel needs no overflow guard
+    for src, builder in _integer_sources():
+        sources = [src]
+        if builder is free_expand_polyquantoid:
+            sources.append(to_polymatroid(src))  # the Lemma 5.2 partner
+        for f in sources:
+            total = sum(f.values[1 << i] for i in range(f.n))
+            assert all(0 <= x <= total for x in f.values)
+
+
+def test_expansion_routes_agree_at_full_size():
+    # the partner of scale(ghz3, 3) has 18 copies, the direct expansion 9
+    assert expansion_correspondence_holds(scale(ghz3(), 3))
+    with pytest.raises(ExpansionTooLarge):
+        expansion_correspondence_holds(scale(ghz3(), 6))  # 18 direct elements
+
+
+def test_two_factor_builds_no_copy_level_expansion(monkeypatch):
+    calls = []
+    built = expansion._expansion
+
+    def counting(f, kind):
+        calls.append(kind)
+        return built(f, kind)
+
+    monkeypatch.setattr(expansion, "_expansion", counting)
+    two_factor(scale(uniform(2, 4), 2))
+    assert calls == []
+    assert expansion_correspondence_holds(e22())
+    assert calls == [expansion.QUANTOID_EXPANSION]

@@ -83,6 +83,12 @@ def test_key_mask_round_trip():
         assert g.key_of(g.mask_of_key(key)) == key
 
 
+def test_subset_keys_equal_key_of_every_mask():
+    for n in range(17):
+        g = GroundSet(labels_for(n))
+        assert g.subset_keys() == [g.key_of(m) for m in g.subsets()]
+
+
 def test_empty_key_is_empty_set():
     g = GroundSet(("x",))
     assert g.key_of(0) == ""
