@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 
 from .entropic import ApproxSetFunction, JointDistribution, PureState
-from .errors import MalformedDocument
+from .errors import InvalidLabel, MalformedDocument
 from .expansion import Expansion
 from .setfn import GroundSet, SetFunction, build
 from .sharing import SharingReport
@@ -41,6 +41,14 @@ def _field(doc, name: str, kind: type):
     return value
 
 
+def _labels(labels: list) -> tuple:
+    # the library reads int labels as strings; a document must spell them
+    for x in labels:
+        if not isinstance(x, str):
+            raise InvalidLabel(repr(x))
+    return tuple(labels)
+
+
 def set_function_to_doc(f: SetFunction) -> dict:
     return {
         "ground_set": list(f.labels),
@@ -51,7 +59,7 @@ def set_function_to_doc(f: SetFunction) -> dict:
 def set_function_from_doc(doc) -> SetFunction:
     labels = _field(doc, "ground_set", list)
     values = _field(doc, "values", dict)
-    return build(labels, values)
+    return build(_labels(labels), values)
 
 
 def approx_set_function_to_doc(f: ApproxSetFunction) -> dict:
@@ -63,7 +71,7 @@ def approx_set_function_to_doc(f: ApproxSetFunction) -> dict:
 
 
 def distribution_from_doc(doc) -> JointDistribution:
-    parties = GroundSet(tuple(_field(doc, "parties", list)))
+    parties = GroundSet(_labels(_field(doc, "parties", list)))
     alphabets = _field(doc, "alphabets", list)
     probs = _field(doc, "probs", list)
     if not all(_is_number(p) for p in probs):
@@ -72,7 +80,7 @@ def distribution_from_doc(doc) -> JointDistribution:
 
 
 def pure_state_from_doc(doc) -> PureState:
-    parties = GroundSet(tuple(_field(doc, "parties", list)))
+    parties = GroundSet(_labels(_field(doc, "parties", list)))
     dims = _field(doc, "dims", list)
     raw = _field(doc, "amplitudes", list)
     amplitudes = []

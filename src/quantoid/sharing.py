@@ -8,6 +8,16 @@ the second value are *authorized*.  A participant is *essential* when some
 authorized coalition stops being authorized without it, and the dealer is
 *ideal* when every participant is essential and carries the dealer's rank.
 
+The flags come from the dealer's increment table on the integer-scaled
+values (setfn._scaled): one subtraction along the dealer's bit gives the
+increment on every coalition, in ascending order, and each flag compares
+it, or compares every coalition with those one element smaller.  On a
+validated function the increment never grows as a coalition grows
+(submodularity) and never falls below the authorized value, so the
+authorized family is upward closed: a coalition is minimal exactly when no
+coalition one element smaller is authorized.  Circuits, the minimal
+dependent sets, are found the same way.
+
 Ideal dealers force matroid structure: the polymatroid is a positive
 multiple of a matroid rank function, which extract_matroid recovers; for
 polyquantoids the matroid is additionally tight and selfdual.
@@ -19,9 +29,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+import numpy as np
+
 from .correspondence import to_polymatroid
 from .errors import NotAMatroid, NotIdeal, NotOfKind
-from .setfn import POLYMATROID, POLYQUANTOID, SetFunction, classify, scale, submasks
+from .setfn import POLYMATROID, POLYQUANTOID, SetFunction, _scaled, classify, scale
 
 
 @dataclass(frozen=True)
@@ -54,61 +66,54 @@ class _Flags(NamedTuple):
     minimal: tuple
     essential: tuple  # element indices, ascending
     ideal: bool
+    imperfect: int | None  # first coalition whose increment is neither allowed value
+
+
+def _coalitions(n: int, dealer_bit: int) -> np.ndarray:
+    """The masks without the dealer bit, ascending: a table's dealer-axis order."""
+    return np.arange(1 << n).reshape(-1, 2, dealer_bit)[:, 0].ravel()
+
+
+def _one_smaller(n: int) -> tuple:
+    """below[m, i] is mask m without element i, for every mask m over n
+    elements; smaller[m, i] says whether i was in m."""
+    masks = np.arange(1 << n)
+    below = masks[:, None] & ~(1 << np.arange(n))
+    return below, below != masks[:, None]
 
 
 def _sharing_flags(f: SetFunction, dealer_bit: int, quantum: bool) -> _Flags:
-    v = f.values
-    full = f.full_mask
-    secret = v[dealer_bit]
-    authorized_target = -secret if quantum else Fraction(0)
+    a, _ = _scaled(f.values)
+    secret = a[dealer_bit]
+    r = a.reshape(-1, 2, dealer_bit)
+    inc = (r[:, 1] - r[:, 0]).ravel()  # the dealer's increment, in _coalitions order
+    authorized = inc == (-secret if quantum else 0)
+    full_info = inc == secret
+    allowed = authorized | full_info
+    perfect = bool(allowed.all())
 
-    perfect = True
-    authorized = []
-    for m in submasks(full ^ dealer_bit):
-        inc = v[m | dealer_bit] - v[m]
-        if inc == authorized_target:
-            authorized.append(m)
-        elif inc != secret:
-            perfect = False
-
-    # f is validated, so the authorized family is upward closed (the
-    # increment shrinks as coalitions grow) and one step down decides
-    # minimality
-    authorized_set = set(authorized)
-    minimal = [
-        m for m in authorized
-        if not any(m >> i & 1 and m ^ (1 << i) in authorized_set for i in range(f.n))
-    ]
-
-    essential = []
-    for i in range(f.n):
-        bit = 1 << i
-        if bit == dealer_bit:
-            continue
-        if any(m & bit and v[(m ^ bit) | dealer_bit] - v[m ^ bit] == secret
-               for m in authorized):
-            essential.append(i)
-
-    ideal = (
-        perfect
-        and len(essential) == f.n - 1
-        and all(v[1 << i] == secret for i in essential)
-    )
-    return _Flags(perfect, tuple(authorized), tuple(minimal), tuple(essential), ideal)
+    # bit p of a coalition's index is the p-th element other than the dealer
+    below, smaller = _one_smaller(f.n - 1)
+    minimal = authorized & ~(authorized[below] & smaller).any(axis=1)
+    hits = (authorized[:, None] & smaller & full_info[below]).any(axis=0)
+    others = [i for i in range(f.n) if 1 << i != dealer_bit]
+    essential = tuple(i for i, hit in zip(others, hits) if hit)
+    ideal = perfect and len(essential) == f.n - 1 and all(a[1 << i] == secret for i in essential)
+    coalitions = _coalitions(f.n, dealer_bit)
+    return _Flags(perfect, tuple(coalitions[authorized].tolist()),
+                  tuple(coalitions[minimal].tolist()), essential, ideal,
+                  None if perfect else int(coalitions[allowed.argmin()]))  # first False
 
 
-def _not_ideal_reason(f: SetFunction, dealer_idx: int, flags: _Flags, quantum: bool) -> str:
+def _not_ideal_reason(f: SetFunction, dealer_idx: int, flags: _Flags) -> str:
     g = f.ground
     dealer = g.labels[dealer_idx]
     dbit = 1 << dealer_idx
     secret = f.values[dbit]
     if not flags.perfect:
-        allowed = (secret, -secret) if quantum else (secret, Fraction(0))
-        for m in submasks(f.full_mask ^ dbit):
-            inc = f.values[m | dbit] - f.values[m]
-            if inc not in allowed:
-                return (f"dealer {dealer!r} is not perfect: "
-                        f"increment {inc} on coalition {{{g.key_of(m)}}}")
+        m = flags.imperfect
+        return (f"dealer {dealer!r} is not perfect: "
+                f"increment {f.values[m | dbit] - f.values[m]} on coalition {{{g.key_of(m)}}}")
     for i in range(f.n):
         if i != dealer_idx and i not in flags.essential:
             return f"element {g.labels[i]!r} is not essential for dealer {dealer!r}"
@@ -120,7 +125,7 @@ def _not_ideal_reason(f: SetFunction, dealer_idx: int, flags: _Flags, quantum: b
 
 
 def _members_of(f: SetFunction, masks) -> tuple:
-    return tuple(f.ground.members(m) for m in masks)
+    return tuple(map(f.ground.members, masks))
 
 
 def _validated_flags(f: SetFunction, dealer, kind: str) -> tuple:
@@ -169,7 +174,7 @@ def extract_matroid(h: SetFunction, dealer) -> tuple:
     """
     idx, flags = _validated_flags(h, dealer, POLYMATROID)
     if not flags.ideal:
-        raise NotIdeal(_not_ideal_reason(h, idx, flags, quantum=False))
+        raise NotIdeal(_not_ideal_reason(h, idx, flags))
     return _extraction(h, idx, quantum=False)
 
 
@@ -181,28 +186,15 @@ def extract_selfdual_matroid(e: SetFunction, dealer) -> tuple:
     """
     idx, flags = _validated_flags(e, dealer, POLYQUANTOID)
     if not flags.ideal:
-        raise NotIdeal(_not_ideal_reason(e, idx, flags, quantum=True))
+        raise NotIdeal(_not_ideal_reason(e, idx, flags))
     return _extraction(e, idx, quantum=True)
 
 
-def _circuit_masks(r: SetFunction) -> tuple:
-    v = r.values
-    circuits = []
-    for m in range(1, (1 << r.n)):
-        size = m.bit_count()
-        if v[m] >= size:
-            continue  # independent or larger-rank set
-        minimal = True
-        mm = m
-        while mm:
-            bit = mm & -mm
-            if v[m ^ bit] < size - 1:
-                minimal = False
-                break
-            mm ^= bit
-        if minimal:
-            circuits.append(m)
-    return tuple(circuits)
+def _circuit_masks(r: SetFunction) -> np.ndarray:
+    # circuits are the minimal dependent sets, those of rank below their size
+    below, smaller = _one_smaller(r.n)
+    dependent = _scaled(r.values)[0] < smaller.sum(axis=1)
+    return np.flatnonzero(dependent & ~(dependent[below] & smaller).any(axis=1))
 
 
 def matroid_structure(r: SetFunction) -> MatroidStructure:
@@ -227,16 +219,14 @@ def matroid_structure(r: SetFunction) -> MatroidStructure:
         connected = True
     elif n == 1:
         connected = not loops
-    else:
-        connected = all(
-            any(c >> i & 1 and c >> j & 1 for c in circuits)
-            for i in range(n) for j in range(i + 1, n)
-        )
+    else:  # every pair lies in a common circuit: the circuits through i cover N
+        connected = all(np.bitwise_or.reduce(circuits[circuits >> i & 1 == 1], initial=0)
+                        == full for i in range(n))
 
     labels = r.ground.labels
     return MatroidStructure(
         rank=r,
-        circuits=tuple(r.ground.members(c) for c in circuits),
+        circuits=_members_of(r, circuits.tolist()),
         loops=tuple(labels[i] for i in loops),
         coloops=tuple(labels[i] for i in coloops),
         connected=connected,
@@ -249,11 +239,13 @@ def access_from_circuits(r: SetFunction, dealer) -> tuple:
     the authorized family of the dealer."""
     if not classify(r).matroid:
         raise NotAMatroid(f"values on {r.labels}")
-    idx = r.ground.index_of(dealer)
-    dbit = 1 << idx
-    through = [c for c in _circuit_masks(r) if c & dbit]
-    family = [
-        m for m in submasks(r.full_mask ^ dbit)
-        if any(c & ~(dbit | m) == 0 for c in through)
-    ]
-    return _members_of(r, family)
+    dbit = 1 << r.ground.index_of(dealer)
+    # the upward closure of the circuits through the dealer, one OR per
+    # element, read at dealer+I for every coalition I
+    closure = np.zeros(1 << r.n, dtype=bool)
+    circuits = _circuit_masks(r)
+    closure[circuits[circuits & dbit != 0]] = True
+    for i in range(r.n):
+        closure.reshape(-1, 2, 1 << i)[:, 1] |= closure.reshape(-1, 2, 1 << i)[:, 0]
+    family = _coalitions(r.n, dbit)[closure.reshape(-1, 2, dbit)[:, 1].ravel()]
+    return _members_of(r, family.tolist())

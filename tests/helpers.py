@@ -8,6 +8,7 @@ import random
 
 from quantoid.expansion import QUANTOID_EXPANSION, TWO_FACTOR, adapted_sets
 from quantoid.setfn import Classification, SetFunction, from_table, submasks
+from quantoid.sharing import MatroidStructure
 
 
 def labels_for(n):
@@ -205,3 +206,134 @@ def adapted_minimization(src, exp):
 
     return tuple(min(cost(J, K) for J in adapted_sets(exp.map, K))
                  for K in range(1 << exp.map.expanded.n))
+
+
+def sharing_flags_loops(f, dealer_bit, quantum):
+    """(perfect, authorized, minimal, essential, ideal) of a dealer, by one
+    Fraction increment per coalition: the fields the library's sharing
+    flags share with it."""
+    v = f.values
+    full = f.full_mask
+    secret = v[dealer_bit]
+    authorized_target = -secret if quantum else Fraction(0)
+
+    perfect = True
+    authorized = []
+    for m in submasks(full ^ dealer_bit):
+        inc = v[m | dealer_bit] - v[m]
+        if inc == authorized_target:
+            authorized.append(m)
+        elif inc != secret:
+            perfect = False
+
+    authorized_set = set(authorized)
+    minimal = [
+        m for m in authorized
+        if not any(m >> i & 1 and m ^ (1 << i) in authorized_set for i in range(f.n))
+    ]
+
+    essential = []
+    for i in range(f.n):
+        bit = 1 << i
+        if bit == dealer_bit:
+            continue
+        if any(m & bit and v[(m ^ bit) | dealer_bit] - v[m ^ bit] == secret
+               for m in authorized):
+            essential.append(i)
+
+    ideal = (
+        perfect
+        and len(essential) == f.n - 1
+        and all(v[1 << i] == secret for i in essential)
+    )
+    return (perfect, tuple(authorized), tuple(minimal), tuple(essential), ideal)
+
+
+def not_ideal_reason_loops(f, dealer_idx, flags, quantum):
+    """The NotIdeal message, rescanning every coalition for the first bad
+    increment; flags is the tuple of sharing_flags_loops."""
+    perfect, _, _, essential, _ = flags
+    g = f.ground
+    dealer = g.labels[dealer_idx]
+    dbit = 1 << dealer_idx
+    secret = f.values[dbit]
+    if not perfect:
+        allowed = (secret, -secret) if quantum else (secret, Fraction(0))
+        for m in submasks(f.full_mask ^ dbit):
+            inc = f.values[m | dbit] - f.values[m]
+            if inc not in allowed:
+                return (f"dealer {dealer!r} is not perfect: "
+                        f"increment {inc} on coalition {{{g.key_of(m)}}}")
+    for i in range(f.n):
+        if i != dealer_idx and i not in essential:
+            return f"element {g.labels[i]!r} is not essential for dealer {dealer!r}"
+    for i in range(f.n):
+        if i != dealer_idx and f.values[1 << i] != secret:
+            return (f"element {g.labels[i]!r} has value {f.values[1 << i]}, "
+                    f"dealer {dealer!r} has {secret}")
+    return "not ideal"
+
+
+def circuit_masks_loops(r):
+    """Circuit masks of a matroid rank function, one mask at a time."""
+    v = r.values
+    circuits = []
+    for m in range(1, (1 << r.n)):
+        size = m.bit_count()
+        if v[m] >= size:
+            continue  # independent or larger-rank set
+        minimal = True
+        mm = m
+        while mm:
+            bit = mm & -mm
+            if v[m ^ bit] < size - 1:
+                minimal = False
+                break
+            mm ^= bit
+        if minimal:
+            circuits.append(m)
+    return tuple(circuits)
+
+
+def matroid_structure_loops(r):
+    """matroid_structure from circuit_masks_loops, with connectivity tested
+    on every pair of elements and every circuit."""
+    v = r.values
+    n = r.n
+    full = r.full_mask
+
+    circuits = circuit_masks_loops(r)
+    loops = tuple(i for i in range(n) if v[1 << i] == 0)
+    coloops = tuple(i for i in range(n) if v[full] - v[full ^ (1 << i)] == 1)
+
+    if n == 0:
+        connected = True
+    elif n == 1:
+        connected = not loops
+    else:
+        connected = all(
+            any(c >> i & 1 and c >> j & 1 for c in circuits)
+            for i in range(n) for j in range(i + 1, n)
+        )
+
+    labels = r.ground.labels
+    return MatroidStructure(
+        rank=r,
+        circuits=tuple(r.ground.members(c) for c in circuits),
+        loops=tuple(labels[i] for i in loops),
+        coloops=tuple(labels[i] for i in coloops),
+        connected=connected,
+    )
+
+
+def access_from_circuits_loops(r, dealer):
+    """The coalitions that hold a circuit through the dealer, testing every
+    coalition against every such circuit."""
+    idx = r.ground.index_of(dealer)
+    dbit = 1 << idx
+    through = [c for c in circuit_masks_loops(r) if c & dbit]
+    family = [
+        m for m in submasks(r.full_mask ^ dbit)
+        if any(c & ~(dbit | m) == 0 for c in through)
+    ]
+    return tuple(r.ground.members(m) for m in family)

@@ -237,6 +237,26 @@ def test_boolean_outside_values_exit_two(tmp_path, capsys, error, command, doc):
     assert re.fullmatch(r"\w+: [^\n]*\n", err) and err.startswith(f"{error}: ")
 
 
+NON_STRING_LABELS = [None, 1, 2.5, {"a": 1}, [1]]
+LABEL_DOCUMENTS = {
+    "check": lambda x: {"ground_set": [x], "values": {"": "0", str(x): "1"}},
+    "entropy --classical": lambda x: {"parties": [x], "alphabets": [2], "probs": [1, 0]},
+    "entropy --quantum": lambda x: {"parties": [x], "dims": [2],
+                                    "amplitudes": [[1, 0], [0, 0]]},
+}
+
+
+@pytest.mark.parametrize("command", sorted(LABEL_DOCUMENTS))
+@pytest.mark.parametrize("label", NON_STRING_LABELS,
+                         ids=["null", "number", "float", "object", "array"])
+def test_non_string_label_exit_two(tmp_path, capsys, command, label):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(LABEL_DOCUMENTS[command](label)))
+    code, out, err = run(capsys, *command.split(), str(path))
+    assert code == 2 and out == ""
+    assert err == f"InvalidLabel: {label!r}\n"
+
+
 def test_missing_file_exit_two(capsys):
     code, _, err = run(capsys, "check", "no-such-file.json")
     assert code == 2

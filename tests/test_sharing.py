@@ -20,13 +20,17 @@ from quantoid.sharing import (
 )
 
 from helpers import (
+    access_from_circuits_loops,
     bell,
     e22,
     ghz3,
     labels_for,
+    matroid_structure_loops,
     minimal_by_submasks,
+    not_ideal_reason_loops,
     q24,
     random_rational_polymatroid,
+    sharing_flags_loops,
     uniform,
     zero_fn,
 )
@@ -243,6 +247,58 @@ def test_minimal_coalitions_match_submask_walk():
         for i in range(f.n):
             flags = sharing._sharing_flags(f, 1 << i, kind == "polyquantoid")
             assert flags.minimal == minimal_by_submasks(flags.authorized)
+
+
+def _kernel_corpus():
+    """(function, kind) pairs: every enumerated polymatroid (n <= 3 with
+    cap 3, n = 4 with cap 2) and polyquantoid (n <= 5, cap 2), random
+    rational polymatroids with n <= 8, more tables with n = 1, and three
+    whose values are past the int64 guard, so the kernel runs on Python ints."""
+    cases = [(f, kind) for kind, n, cap in [("polymatroid", n, 3) for n in range(4)]
+             + [("polymatroid", 4, 2)] + [("polyquantoid", n, 2) for n in range(6)]
+             for f in enumerate_rank_functions(kind, n, cap)]
+    rng = random.Random(2012)
+    cases += [(random_rational_polymatroid(rng, n), "polymatroid")
+              for n in range(1, 9) for _ in range(3)]
+    cases += [(from_table(["1"], values), "polymatroid")
+              for values in ([0, 0], [0, 1], [0, Fraction(5, 3)])]
+    cases += [(scale(uniform(2, 4), Fraction(2**70 + 1, 3)), "polymatroid"),
+              (scale(from_table(["1", "2"], [0, 2, 1, 2]), 2**70), "polymatroid"),
+              (scale(q24(), 2**70), "polyquantoid")]
+    return cases
+
+
+REASONS = ("is not perfect", "is not essential", "has value")
+
+
+def test_kernel_equals_loop_oracles():
+    extract = {"polymatroid": extract_matroid, "polyquantoid": extract_selfdual_matroid}
+    matroids = [uniform(k, n) for n in range(9) for k in range(n + 1)]
+    reasons = set()
+    for f, kind in _kernel_corpus():
+        quantum = kind == "polyquantoid"
+        if classify(f).matroid:
+            matroids.append(f)
+        for i, dealer in enumerate(f.labels):
+            flags = sharing._sharing_flags(f, 1 << i, quantum)
+            expected = sharing_flags_loops(f, 1 << i, quantum)
+            assert flags[:5] == expected
+            assert type(flags.perfect) is type(flags.ideal) is bool
+            assert (flags.imperfect is None) == flags.perfect
+            if flags.ideal:
+                matroids.append(extract[kind](f, dealer)[1])
+                continue
+            with pytest.raises(NotIdeal) as info:
+                extract[kind](f, dealer)
+            message = str(info.value)
+            assert message == not_ideal_reason_loops(f, i, expected, quantum)
+            reasons.add(next((k for k in REASONS if k in message), message))
+    assert reasons == set(REASONS)
+    assert {r.n for r in matroids} == set(range(9))
+    for r in matroids:
+        assert matroid_structure(r) == matroid_structure_loops(r)
+        for dealer in r.labels:
+            assert access_from_circuits(r, dealer) == access_from_circuits_loops(r, dealer)
 
 
 def test_extracted_rank_is_a_matroid():
