@@ -17,7 +17,7 @@ from . import documents
 from .correspondence import to_polymatroid, to_polyquantoid
 from .duality import dual
 from .entropic import shannon_entropy_function, snap_to_rational, von_neumann_entropy_function
-from .errors import QuantoidError
+from .errors import MalformedDocument, QuantoidError
 from .expansion import (
     expansion_correspondence_holds,
     free_expand_polymatroid,
@@ -36,7 +36,10 @@ _TRANSFORMS = {
 
 def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            raise MalformedDocument(str(exc)) from None
 
 
 def _emit(text: str, outfile: str | None):
@@ -155,9 +158,6 @@ def main(argv=None) -> int:
         return args.handler(args)
     except QuantoidError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"MalformedDocument: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

@@ -66,7 +66,6 @@ class JointDistribution:
     parties: GroundSet
     alphabet_sizes: tuple
     probs: tuple
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         sizes = _sizes_per_party(self.alphabet_sizes, self.parties.n, InvalidDistribution,
@@ -82,7 +81,7 @@ class JointDistribution:
         if any(p < 0 for p in probs):
             raise InvalidDistribution("negative mass")
         total = math.fsum(probs)
-        if abs(total - 1.0) > self.tol:
+        if abs(total - 1.0) > DEFAULT_TOL:
             raise InvalidDistribution(f"total mass {total!r} is not 1")
 
 
@@ -97,7 +96,6 @@ class PureState:
     parties: GroundSet
     dims: tuple
     amplitudes: tuple
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         dims = _sizes_per_party(self.dims, self.parties.n, DimensionMismatch,
@@ -111,7 +109,7 @@ class PureState:
         if not all(cmath.isfinite(a) for a in amps):
             raise NotNormalized("non-finite amplitude")
         norm2 = math.fsum(abs(a) ** 2 for a in amps)
-        if abs(norm2 - 1.0) > self.tol:
+        if abs(norm2 - 1.0) > DEFAULT_TOL:
             raise NotNormalized(f"squared norm {norm2!r} is not 1")
 
 
@@ -143,7 +141,7 @@ def shannon_entropy_function(dist: JointDistribution, *, base: float = 2.0) -> A
         drop = tuple(i for i in range(n) if not mask >> i & 1)
         marginal = arr.sum(axis=drop) if drop else arr
         values[mask] = _entropy_of(marginal.reshape(-1), base)
-    return ApproxSetFunction(dist.parties, tuple(values), tol=dist.tol)
+    return ApproxSetFunction(dist.parties, tuple(values))
 
 
 def reduced_spectrum(state: PureState, members: Iterable) -> tuple:
@@ -174,7 +172,7 @@ def von_neumann_entropy_function(state: PureState, *, base: float = 2.0) -> Appr
     values = [0.0] * (1 << n)
     for mask in range(1, 1 << n):
         values[mask] = _entropy_of(_spectrum(state, mask), base)
-    return ApproxSetFunction(state.parties, tuple(values), tol=state.tol)
+    return ApproxSetFunction(state.parties, tuple(values))
 
 
 def snap_to_rational(f: ApproxSetFunction, max_denominator: int) -> SetFunction:
@@ -198,32 +196,41 @@ def snap_to_rational(f: ApproxSetFunction, max_denominator: int) -> SetFunction:
 
 
 def is_approx_polymatroid(f: ApproxSetFunction) -> bool:
-    """Normalized, nondecreasing, and submodular, all within the tolerance."""
-    v = f.values
-    n = f.n
-    if abs(v[0]) > f.tol:
-        return False
-    monotone = all(
-        v[m ^ (1 << i)] <= v[m] + f.tol
-        for m in range(1 << n) for i in range(n) if m >> i & 1
-    )
-    return monotone and _approx_submodular(f)
+    """Normalized, nondecreasing and submodular, each within f.tol.
+
+    Each axiom is tested on the local inequalities setfn.classify uses,
+    and each must hold within tol: |f({})| <= tol, f(S) <= f(S+i) + tol,
+    and the two-point test f(S+b+c) + f(S) <= f(S+b) + f(S+c) + tol.  A
+    pair (A, B) then holds within floor(n/2) * ceil(n/2) * tol, as its
+    gap is the sum of |A-B| * |B-A| two-point gaps.
+    """
+    v = np.array(f.values)
+    return (abs(f.values[0]) <= f.tol
+            and all((r[:, 0] <= r[:, 1] + f.tol).all()
+                    for r in (v.reshape(-1, 2, 1 << i) for i in range(f.n)))
+            and _approx_submodular(v, f.n, f.tol))
 
 
 def is_approx_polyquantoid(f: ApproxSetFunction) -> bool:
-    """Normalized, complementary, and submodular, all within the tolerance."""
-    v = f.values
-    full = (1 << f.n) - 1
-    if abs(v[0]) > f.tol:
-        return False
-    complementary = all(abs(v[m] - v[full ^ m]) <= f.tol for m in range(1 << f.n))
-    return complementary and _approx_submodular(f)
+    """Normalized, complementary and submodular, each within f.tol.
+
+    Within tol as in is_approx_polymatroid, with |f(S) - f(N-S)| <= tol
+    for every S as the complement test.
+    """
+    v = np.array(f.values)
+    return (abs(f.values[0]) <= f.tol
+            and bool((abs(v - v[::-1]) <= f.tol).all())
+            and _approx_submodular(v, f.n, f.tol))
 
 
-def _approx_submodular(f: ApproxSetFunction) -> bool:
-    v = f.values
-    size = 1 << f.n
-    return all(
-        v[i] + v[j] >= v[i | j] + v[i & j] - f.tol
-        for i in range(size) for j in range(i, size)
-    )
+def _approx_submodular(v: np.ndarray, n: int, tol: float) -> bool:
+    # the two-point test of setfn._submodular: the gain of b grows by at
+    # most tol when c < b joins
+    for b in range(1, n):
+        r = v.reshape(-1, 2, 1 << b)
+        gain = (r[:, 1] - r[:, 0]).ravel()
+        for c in range(b):
+            g = gain.reshape(-1, 2, 1 << c)
+            if not (g[:, 1] <= g[:, 0] + tol).all():
+                return False
+    return True

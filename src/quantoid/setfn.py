@@ -63,6 +63,13 @@ def as_rational(value) -> Fraction:
     raise MalformedRational(repr(value))
 
 
+def _exact(value) -> Fraction:
+    # as_rational's rule for SetFunction values: no floats, no booleans
+    if isinstance(value, (float, bool)):
+        raise MalformedRational(repr(value))
+    return Fraction(value)
+
+
 @dataclass(frozen=True)
 class GroundSet:
     """Ordered, distinct element labels; label i corresponds to subset-mask bit i."""
@@ -157,7 +164,7 @@ class SetFunction:
         if len(self.values) != expected:
             raise MissingSubset(f"expected {expected} values, got {len(self.values)}")
         object.__setattr__(self, "values", tuple(
-            v if type(v) is Fraction else Fraction(v) for v in self.values))
+            v if type(v) is Fraction else _exact(v) for v in self.values))
 
     @property
     def n(self) -> int:
@@ -318,19 +325,7 @@ class Classification:
     quantoid: bool
 
     def as_dict(self) -> dict:
-        return {
-            "normalized": self.normalized,
-            "nondecreasing": self.nondecreasing,
-            "submodular": self.submodular,
-            "complementary": self.complementary,
-            "tight": self.tight,
-            "integer": self.integer,
-            "selfdual": self.selfdual,
-            "polymatroid": self.polymatroid,
-            "polyquantoid": self.polyquantoid,
-            "matroid": self.matroid,
-            "quantoid": self.quantoid,
-        }
+        return dict(vars(self))
 
 
 def classify(f: SetFunction) -> Classification:
@@ -382,8 +377,7 @@ def scale(f: SetFunction, t) -> SetFunction:
     return _from_scaled(f.ground, a, t / den)
 
 
-def enumerate_rank_functions(kind: str, n: int, cap: int,
-                             labels: Sequence | None = None) -> Iterator[SetFunction]:
+def enumerate_rank_functions(kind: str, n: int, cap: int) -> Iterator[SetFunction]:
     """Yield every integer-valued function on n elements with values in [0, cap]
     that satisfies the axioms of `kind` ("polymatroid" or "polyquantoid").
 
@@ -396,11 +390,7 @@ def enumerate_rank_functions(kind: str, n: int, cap: int,
         raise ValueError(f"unknown kind {kind!r}")
     if n < 0 or cap < 0:
         raise ValueError("n and cap must be nonnegative")
-    if labels is None:
-        labels = tuple(str(i + 1) for i in range(n))
-    ground = GroundSet(tuple(labels))
-    if ground.n != n:
-        raise ValueError("labels length does not match n")
+    ground = GroundSet(tuple(str(i + 1) for i in range(n)))
 
     size = 1 << n
     full = size - 1

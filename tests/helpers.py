@@ -337,3 +337,40 @@ def access_from_circuits_loops(r, dealer):
         if any(c & ~(dbit | m) == 0 for c in through)
     ]
     return tuple(r.ground.members(m) for m in family)
+
+
+def is_approx_polymatroid_all_pairs(f):
+    """Normalized, nondecreasing, and submodular, all within the tolerance,
+    with submodularity on every pair of subsets: the reference for the
+    library's local is_approx_polymatroid."""
+    v = f.values
+    n = f.n
+    if abs(v[0]) > f.tol:
+        return False
+    monotone = all(
+        v[m ^ (1 << i)] <= v[m] + f.tol
+        for m in range(1 << n) for i in range(n) if m >> i & 1
+    )
+    return monotone and approx_submodular_all_pairs(f)
+
+
+def is_approx_polyquantoid_all_pairs(f):
+    """Normalized, complementary, and submodular, all within the tolerance,
+    with submodularity on every pair of subsets: the reference for the
+    library's local is_approx_polyquantoid."""
+    v = f.values
+    full = (1 << f.n) - 1
+    if abs(v[0]) > f.tol:
+        return False
+    complementary = all(abs(v[m] - v[full ^ m]) <= f.tol for m in range(1 << f.n))
+    return complementary and approx_submodular_all_pairs(f)
+
+
+def approx_submodular_all_pairs(f):
+    """Submodularity within f.tol on every pair of subsets."""
+    v = f.values
+    size = 1 << f.n
+    return all(
+        v[i] + v[j] >= v[i | j] + v[i & j] - f.tol
+        for i in range(size) for j in range(i, size)
+    )

@@ -270,6 +270,26 @@ def test_invalid_json_exit_two(tmp_path, capsys):
     assert err.startswith("MalformedDocument")
 
 
+UNREADABLE = {
+    "not-utf8": b"\xff\xfe{}",
+    "deep": b"[" * 100_000,
+    "not-json": b"{not json",
+}
+
+
+@pytest.mark.parametrize("command", ["check", "share --dealer 1", "entropy --classical"])
+@pytest.mark.parametrize("name", sorted(UNREADABLE))
+def test_unreadable_document_exit_two(tmp_path, capsys, command, name):
+    path = tmp_path / "input.json"
+    path.write_bytes(UNREADABLE[name])
+    code, out, err = run(capsys, *command.split(), str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("MalformedDocument: ") and err.count("\n") == 1
+    if name == "not-json":
+        assert err == ("MalformedDocument: Expecting property name enclosed in "
+                       "double quotes: line 1 column 2 (char 1)\n")
+
+
 COMMANDS = [
     ("check", "bell"),
     ("check", "u24"),

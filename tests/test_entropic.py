@@ -1,6 +1,7 @@
 """Entropy constructors: Shannon marginals, von Neumann reductions, snapping."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,13 @@ from quantoid.errors import (
 )
 from quantoid.setfn import GroundSet
 
-from helpers import bell, ghz3
+from helpers import (
+    bell,
+    ghz3,
+    is_approx_polymatroid_all_pairs,
+    is_approx_polyquantoid_all_pairs,
+    labels_for,
+)
 
 TOL = 1e-9
 INV_SQRT2 = 2 ** -0.5
@@ -182,3 +189,133 @@ def test_snap_rejects_bad_denominator():
     f = ApproxSetFunction(GroundSet(("1",)), (0.0, 0.5))
     with pytest.raises(SnapFailed):
         snap_to_rational(f, 0)
+
+
+# -- approximate checks --------------------------------------------------------------
+
+CHECKS = [(is_approx_polymatroid, is_approx_polymatroid_all_pairs),
+          (is_approx_polyquantoid, is_approx_polyquantoid_all_pairs)]
+MARGIN = 1e-12  # rounding on values of at most 8 bits is ~1e-14, far below TOL
+
+
+def random_distribution(rng, n, product=False):
+    if product:  # independent parties: every submodular inequality is tight
+        probs = np.ones(1)
+        for _ in range(n):
+            p = rng.random()
+            probs = np.kron(probs, (p, 1 - p))
+    else:
+        probs = rng.random(1 << n) ** 3
+        probs /= probs.sum()
+    return JointDistribution(GroundSet(labels_for(n)), (2,) * n, tuple(probs))
+
+
+def random_state(rng, n, product=False):
+    if product:  # no entanglement: every entropy is 0
+        amps = np.ones(1)
+        for _ in range(n):
+            q = rng.normal(size=2) + 1j * rng.normal(size=2)
+            amps = np.kron(amps, q / np.linalg.norm(q))
+    else:
+        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        amps /= np.linalg.norm(amps)
+    return PureState(GroundSet(labels_for(n)), (2,) * n, tuple(amps))
+
+
+def entropy_functions():
+    """Seeded Shannon (n <= 8) and von Neumann (n <= 6) functions, the
+    inputs of the other tests in this file, and n = 0 and n = 1 tables."""
+    rng = np.random.default_rng(20121018)
+    fns = [shannon_entropy_function(random_distribution(rng, n, product))
+           for n in range(9) for product in (False, True)]
+    fns += [von_neumann_entropy_function(random_state(rng, n, product))
+            for n in range(7) for product in (False, True)]
+    dists = [(two_parties(), (2, 2), p) for p in
+             [(0.5, 0, 0, 0.5), (0.25,) * 4, (1.0, 0, 0, 0)]]
+    dists.append((GroundSet(("1",)), (2,), (0.3, 0.7)))
+    fns += [shannon_entropy_function(JointDistribution(*d)) for d in dists]
+    states = [bell_state(), ghz_state(), w_state(),
+              PureState(two_parties(), (2, 2), (1, 0, 0, 0))]
+    old = np.random.default_rng(20120912)  # test_pure_state_axioms_on_random_states
+    for _ in range(20):
+        raw = old.normal(size=8) + 1j * old.normal(size=8)
+        states.append(PureState(three_parties(), (2, 2, 2), tuple(raw / np.linalg.norm(raw))))
+    fns += [von_neumann_entropy_function(state) for state in states]
+    fns += [ApproxSetFunction(GroundSet(()), (x,)) for x in (0.0, 1.0)]
+    fns += [ApproxSetFunction(GroundSet(("1",)), v)
+            for v in [(0.0, 0.0), (0.0, 1.0), (0.0, -1.0), (1.0, 1.0)]]
+    return fns
+
+
+def perturbed(f):
+    """Copies of f with one axiom moved by step = 0.9 * tol (within tol) or
+    2 * tol (past it).  The last two add a supermodular bump, plain or
+    symmetric under complement, whose two-point gap is step when one of
+    the two elements is in the low half of the ground set and one in the
+    high half, and 0 otherwise."""
+    n, v = f.n, np.array(f.values)
+    full = len(v) - 1
+    a, b = n // 2, n - n // 2
+    low = (1 << a) - 1
+    x = np.array([(m & low).bit_count() for m in range(full + 1)])
+    y = np.array([(m >> a).bit_count() for m in range(full + 1)])
+    plain = x * y
+    symmetric = (x * y + (a - x) * (b - y) - a * b) / 2
+    top = max((v[full ^ 1 << i] for i in range(n)), default=v[0])
+    for step in (0.9 * f.tol, 2 * f.tol):
+        empty, below, above = v.copy(), v.copy(), v.copy()
+        empty[0] += step          # normalized
+        below[full] = top - step  # nondecreasing at N
+        above[full] += step       # complementary at N
+        for w in (empty, below, above, v + step * plain, v + step * symmetric):
+            yield ApproxSetFunction(f.ground, tuple(w))
+
+
+def test_approx_checks_equal_all_pairs_oracle_on_entropy_functions():
+    seen = set()
+    for f in entropy_functions():
+        for check, oracle in CHECKS:
+            verdict = check(f)
+            assert type(verdict) is bool
+            assert verdict == oracle(f), (check.__name__, f)
+            seen.add((check.__name__, verdict))
+    assert len(seen) == 4
+
+
+def test_approx_checks_bound_all_pairs_oracle_on_perturbed_functions():
+    # oracle at tol => check at tol => oracle at floor(n/2) * ceil(n/2) * tol;
+    # the normalized, monotone and complement tests are the same in both,
+    # so for n < 2 the bound is tol
+    seen = set()
+    for f in entropy_functions():
+        bound = max(1, (f.n // 2) * ((f.n + 1) // 2)) * f.tol
+        for p in perturbed(f):
+            for check, oracle in CHECKS:
+                verdict, exact = check(p), oracle(p)
+                if exact:
+                    assert check(replace(p, tol=p.tol + MARGIN)), (check.__name__, p)
+                if verdict:
+                    assert oracle(replace(p, tol=bound + MARGIN)), (check.__name__, p)
+                seen.add((check.__name__, verdict, exact))
+    for check, _ in CHECKS:
+        assert {(check.__name__, v, v) for v in (True, False)} <= seen
+        assert (check.__name__, True, False) in seen  # the verdict the local test changes
+
+
+def test_approx_submodular_pair_bound_example():
+    # |S| + 0.9 tol |S & {1,2}| |S & {3,4}|: every two-point gap is 0.9 tol,
+    # the pair ({1,2}, {3,4}) is off by 3.6 tol, within 2 * 2 * tol
+    values = tuple(m.bit_count() + 0.9 * TOL * (m & 3).bit_count() * (m >> 2).bit_count()
+                   for m in range(16))
+    f = ApproxSetFunction(GroundSet(labels_for(4)), values)
+    assert not is_approx_polymatroid_all_pairs(f)
+    assert is_approx_polymatroid(f)
+    assert is_approx_polymatroid_all_pairs(replace(f, tol=4 * TOL))
+
+
+def test_approx_checks_at_sixteen_elements():
+    u = ApproxSetFunction(GroundSet(labels_for(16)),
+                          tuple(float(min(m.bit_count(), 8)) for m in range(1 << 16)))
+    q = ApproxSetFunction(u.ground, tuple(min(u[m], u[m ^ 0xFFFF]) for m in range(1 << 16)))
+    assert is_approx_polymatroid(u) and not is_approx_polyquantoid(u)
+    assert is_approx_polyquantoid(q) and not is_approx_polymatroid(q)

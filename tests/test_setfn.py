@@ -16,6 +16,7 @@ from quantoid.errors import (
 )
 from quantoid.setfn import (
     GroundSet,
+    SetFunction,
     build,
     classify,
     enumerate_rank_functions,
@@ -61,6 +62,18 @@ def test_build_malformed_rational():
         build(["1"], {"": 0, "1": "x"})
     with pytest.raises(MalformedRational):
         build(["1"], {"": 0, "1": 0.5})
+
+
+@pytest.mark.parametrize("value", [0.1, 1.0, False, True])
+def test_set_function_rejects_floats_and_booleans(value):
+    with pytest.raises(MalformedRational):
+        SetFunction(GroundSet(("1",)), (0, value))
+
+
+def test_set_function_reads_other_values_through_fraction():
+    f = SetFunction(GroundSet(("1",)), (0, "1/2"))
+    assert f.values == (Fraction(0), Fraction(1, 2))
+    assert all(type(x) is Fraction for x in f.values)
 
 
 def test_build_rejects_unknown_key():
