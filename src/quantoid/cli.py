@@ -156,10 +156,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except QuantoidError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (QuantoidError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -15,16 +15,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .setfn import SetFunction, _from_scaled, _scaled, _singleton_sums
+from .setfn import SetFunction, _from_scaled, _singleton_sums
 
 
 def to_polymatroid(e: SetFunction) -> SetFunction:
     """Add the singleton sum to every value (polyquantoid -> tight selfdual polymatroid)."""
-    a, den = _scaled(e.values)
+    a, den = e._scaled_table
     return _from_scaled(e.ground, a + _singleton_sums(a, e.n), Fraction(1, den))
 
 
 def to_polyquantoid(h: SetFunction) -> SetFunction:
     """Subtract half the singleton sum from every value; half-integers may appear."""
-    a, den = _scaled(h.values)
+    a, den = h._scaled_table
     return _from_scaled(h.ground, 2 * a - _singleton_sums(a, h.n), Fraction(1, 2 * den))

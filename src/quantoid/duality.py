@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .setfn import SetFunction, _dual, _from_scaled, _scaled, _selfdual, _tight
+from .setfn import SetFunction, _dual, _from_scaled, _selfdual, _tight
 
 
 def dual(f: SetFunction) -> SetFunction:
     """Apply the duality mapping; total on every set function, computed exactly."""
-    a, den = _scaled(f.values)
+    a, den = f._scaled_table
     return _from_scaled(f.ground, _dual(a, f.n), Fraction(1, den))
 
 
@@ -29,4 +29,4 @@ def is_tight(f: SetFunction) -> bool:
 
 def is_selfdual(f: SetFunction) -> bool:
     """True when f is a fixed point of the duality mapping (exact comparison)."""
-    return _selfdual(_scaled(f.values)[0], f.n)
+    return _selfdual(f._scaled_table[0], f.n)

@@ -44,6 +44,8 @@ class ApproxSetFunction:
         if len(self.values) != 1 << self.ground.n:
             raise DimensionMismatch(
                 f"expected {1 << self.ground.n} values, got {len(self.values)}")
+        if any(isinstance(v, (bool, np.bool_)) for v in self.values):
+            raise InvalidDistribution("boolean value")
         values = tuple(float(v) for v in self.values)
         if not all(math.isfinite(v) for v in values):
             raise InvalidDistribution("non-finite value")

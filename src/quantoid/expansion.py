@@ -26,7 +26,7 @@ count table at the mixed-radix index of its per-block popcounts, which is
 a modular sum over the copies.  An expansion has at most MAX_GROUND_SIZE
 elements.
 
-The arithmetic is int64, as setfn._scaled reads the source, and it cannot
+The arithmetic is int64, like SetFunction._scaled_table, and it cannot
 overflow: a validated source is integer, normalized and submodular, and
 either monotone or complementary, so 0 <= f(J) <= sum of s_i <=
 MAX_GROUND_SIZE (twice that for the polymatroid partner in the Lemma 5.2
@@ -63,7 +63,6 @@ from .setfn import (
     SetFunction,
     _from_scaled,
     _modular,
-    _scaled,
     classify,
     submasks,
 )
@@ -165,7 +164,7 @@ def _count_table(a: np.ndarray, sizes: Sequence[int], weight: int,
 def _expanded_fn(f: SetFunction, bmap: BlockMap, weight: int,
                  symmetric: bool) -> SetFunction:
     sizes = [len(block) for block in bmap.blocks]
-    table = _count_table(_scaled(f.values)[0], sizes, weight, symmetric)
+    table = _count_table(f._scaled_table[0], sizes, weight, symmetric)
     # each copy in block i adds the place value of digit i to the index
     index = _modular([math.prod(t + 1 for t in sizes[:i])
                       for i, s in enumerate(sizes) for _ in range(s)], np.int64)

@@ -14,11 +14,13 @@ once, at the end.  The integers are int64 only when the largest
 expression any check or map forms on them fits: the bound is
 max|x| * (4n + 4) < 2**63 (a dual value is three table values plus n
 gains of four).  Otherwise the same code runs on Python ints in an
-object array, so the result is exact either way.
+object array, so the result is exact either way.  A SetFunction computes
+its table on first use, once per object, and keeps it read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -45,11 +47,11 @@ POLYQUANTOID = "polyquantoid"
 
 
 def as_rational(value) -> Fraction:
-    """Read an exact rational from an int, a Fraction, or a "p" / "p/q" string.
+    """Read an exact rational from an int, a Fraction, or a Fraction string.
 
-    Floats are rejected: they are not exact and must be snapped explicitly
-    (see quantoid.entropic.snap_to_rational).  Booleans are rejected too,
-    although Python counts them as ints.
+    Other types, numpy scalars among them, are rejected.  Floats are not
+    exact and must be snapped explicitly (see quantoid.entropic.snap_to_rational).
+    Booleans are rejected too, although Python counts them as ints.
     """
     if isinstance(value, Fraction):
         return value
@@ -59,15 +61,10 @@ def as_rational(value) -> Fraction:
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            raise MalformedRational(value) from exc
+            raise MalformedRational(repr(value)) from exc
+    if isinstance(value, (float, np.floating)):
+        raise MalformedRational(f"{value!r} (floats are not exact; pass a string or Fraction)")
     raise MalformedRational(repr(value))
-
-
-def _exact(value) -> Fraction:
-    # as_rational's rule for SetFunction values: no floats, no booleans
-    if isinstance(value, (float, bool)):
-        raise MalformedRational(repr(value))
-    return Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -164,7 +161,14 @@ class SetFunction:
         if len(self.values) != expected:
             raise MissingSubset(f"expected {expected} values, got {len(self.values)}")
         object.__setattr__(self, "values", tuple(
-            v if type(v) is Fraction else _exact(v) for v in self.values))
+            v if type(v) is Fraction else as_rational(v) for v in self.values))
+
+    @functools.cached_property
+    def _scaled_table(self) -> tuple[np.ndarray, int]:
+        """_scaled(self.values), computed on first use and read-only."""
+        a, den = _scaled(self.values)
+        a.flags.writeable = False
+        return a, den
 
     @property
     def n(self) -> int:
@@ -201,13 +205,10 @@ def build(labels: Sequence, values: Mapping) -> SetFunction:
     for key in canonical:
         if key not in values:
             raise MissingSubset(key)
-        raw = values[key]
-        if isinstance(raw, float):
-            raise MalformedRational(f"{key!r}: {raw!r} (floats are not exact; pass a string or Fraction)")
         try:
-            table.append(as_rational(raw))
-        except MalformedRational:
-            raise MalformedRational(f"{key!r}: {raw!r}") from None
+            table.append(as_rational(values[key]))
+        except MalformedRational as exc:
+            raise MalformedRational(f"{key!r}: {exc}") from None
     if len(values) != len(canonical):
         extras = sorted(set(values) - set(canonical))
         raise UnknownSubsetKey(repr(extras[0]))
@@ -217,7 +218,7 @@ def build(labels: Sequence, values: Mapping) -> SetFunction:
 def from_table(labels: Sequence, values: Iterable) -> SetFunction:
     """Build a SetFunction from a value table already in subset-mask order."""
     ground = GroundSet(tuple(labels))
-    return SetFunction(ground, tuple(as_rational(v) for v in values))
+    return SetFunction(ground, tuple(values))
 
 
 def submasks(mask: int) -> Iterator[int]:
@@ -340,7 +341,7 @@ def classify(f: SetFunction) -> Classification:
     """
     v = f.values
     n = f.n
-    a, den = _scaled(v)
+    a, den = f._scaled_table
 
     normalized = v[0] == 0
     nondecreasing = _nondecreasing(a, n)
@@ -373,7 +374,7 @@ def scale(f: SetFunction, t) -> SetFunction:
     t = as_rational(t)
     if t <= 0:
         raise NonpositiveScale(str(t))
-    a, den = _scaled(f.values)
+    a, den = f._scaled_table
     return _from_scaled(f.ground, a, t / den)
 
 

@@ -8,9 +8,9 @@ the second value are *authorized*.  A participant is *essential* when some
 authorized coalition stops being authorized without it, and the dealer is
 *ideal* when every participant is essential and carries the dealer's rank.
 
-The flags come from the dealer's increment table on the integer-scaled
-values (setfn._scaled): one subtraction along the dealer's bit gives the
-increment on every coalition, in ascending order, and each flag compares
+The flags come from the dealer's increment on SetFunction._scaled_table,
+the integer table classify also reads: one subtraction along the dealer's
+bit gives it on every coalition, in ascending order, and each flag compares
 it, or compares every coalition with those one element smaller.  On a
 validated function the increment never grows as a coalition grows
 (submodularity) and never falls below the authorized value, so the
@@ -33,7 +33,7 @@ import numpy as np
 
 from .correspondence import to_polymatroid
 from .errors import NotAMatroid, NotIdeal, NotOfKind
-from .setfn import POLYMATROID, POLYQUANTOID, SetFunction, _scaled, classify, scale
+from .setfn import POLYMATROID, POLYQUANTOID, SetFunction, classify, scale
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ def _one_smaller(n: int) -> tuple:
 
 
 def _sharing_flags(f: SetFunction, dealer_bit: int, quantum: bool) -> _Flags:
-    a, _ = _scaled(f.values)
+    a, _ = f._scaled_table
     secret = a[dealer_bit]
     r = a.reshape(-1, 2, dealer_bit)
     inc = (r[:, 1] - r[:, 0]).ravel()  # the dealer's increment, in _coalitions order
@@ -193,7 +193,7 @@ def extract_selfdual_matroid(e: SetFunction, dealer) -> tuple:
 def _circuit_masks(r: SetFunction) -> np.ndarray:
     # circuits are the minimal dependent sets, those of rank below their size
     below, smaller = _one_smaller(r.n)
-    dependent = _scaled(r.values)[0] < smaller.sum(axis=1)
+    dependent = r._scaled_table[0] < smaller.sum(axis=1)
     return np.flatnonzero(dependent & ~(dependent[below] & smaller).any(axis=1))
 
 

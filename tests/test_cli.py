@@ -76,6 +76,19 @@ def test_dual_writes_u23(corpus, capsys):
     assert documents.set_function_from_doc(json.loads(out)) == uniform(2, 3)
 
 
+@pytest.mark.parametrize("command", ["check", "dual"])
+def test_any_fraction_syntax_reads_like_lowest_terms(tmp_path, capsys, command):
+    # inputs may use any Fraction syntax; outputs are always "p" or "p/q"
+    outputs = []
+    for name, values in (("canonical", ["0", "1/2", "1/2", "1"]),
+                         ("written", ["0", "0.5", "2/4", " 1 "])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"ground_set": ["1", "2"],
+                                    "values": dict(zip(["", "1", "2", "1,2"], values))}))
+        outputs.append(run(capsys, command, str(path)))
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
+
 def test_hat_then_vee_round_trips(corpus, capsys, tmp_path):
     mid = str(tmp_path / "mid.json")
     assert run(capsys, "hat", corpus["bell"], mid)[0] == 0

@@ -17,3 +17,14 @@ def test_no_assert_or_debug_in_library():
              if isinstance(node, ast.Assert)
              or isinstance(node, ast.Name) and node.id == "__debug__"]
     assert len(SOURCES) >= 10 and found == []
+
+
+def test_only_setfn_scales_a_table():
+    # every other module reads SetFunction._scaled_table, computed once per
+    # function, so the lcm and int64-guard rule stays in setfn
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES if path.name != "setfn.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+             if isinstance(node, ast.ImportFrom) and any(a.name == "_scaled" for a in node.names)
+             or isinstance(node, ast.Attribute) and node.attr == "_scaled"]
+    assert len(SOURCES) >= 10 and found == []

@@ -191,6 +191,12 @@ def test_snap_rejects_bad_denominator():
         snap_to_rational(f, 0)
 
 
+@pytest.mark.parametrize("flag", [False, np.bool_(True)], ids=["bool", "bool_"])
+def test_approx_set_function_rejects_booleans(flag):
+    with pytest.raises(InvalidDistribution):
+        ApproxSetFunction(GroundSet(("1",)), (0.0, flag))
+
+
 # -- approximate checks --------------------------------------------------------------
 
 CHECKS = [(is_approx_polymatroid, is_approx_polymatroid_all_pairs),

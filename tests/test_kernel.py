@@ -88,6 +88,17 @@ def test_corpus_sees_every_flag_both_ways():
     assert all(values == {True, False} for values in seen.values()), seen
 
 
+@pytest.mark.parametrize("top,dtype", [(1, np.int64), (2**70, object)], ids=["int64", "object"])
+def test_cached_table_is_read_only(top, dtype):
+    f = scale(uniform(2, 3), top)
+    a, _ = f._scaled_table
+    assert a.dtype == dtype and f._scaled_table[0] is a
+    with pytest.raises(ValueError):
+        a[0] = 1
+    with pytest.raises(ValueError):
+        a += a
+
+
 # -- the overflow guard -----------------------------------------------------------
 
 def test_huge_numerators_use_python_ints():

@@ -3,6 +3,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -68,6 +69,24 @@ def test_build_malformed_rational():
 def test_set_function_rejects_floats_and_booleans(value):
     with pytest.raises(MalformedRational):
         SetFunction(GroundSet(("1",)), (0, value))
+
+
+ENTRY_POINTS = {
+    "SetFunction": lambda v: SetFunction(GroundSet(("1",)), (0, v)),
+    "from_table": lambda v: from_table(["1"], [0, v]),
+    "build": lambda v: build(["1"], {"": 0, "1": v}),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("value", [np.float32(0.5), np.int64(1), np.bool_(True), object(), 0.5],
+                         ids=["float32", "int64", "bool_", "object", "float"])
+def test_entry_points_read_values_alike(entry, value):
+    # one reader, as_rational, behind all three; floats get its hint
+    with pytest.raises(MalformedRational) as info:
+        ENTRY_POINTS[entry](value)
+    hint = "(floats are not exact; pass a string or Fraction)"
+    assert (hint in str(info.value)) == isinstance(value, (float, np.floating))
 
 
 def test_set_function_reads_other_values_through_fraction():

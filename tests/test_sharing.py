@@ -5,11 +5,11 @@ import random
 
 import pytest
 
-from quantoid import expansion, sharing
+from quantoid import expansion, setfn, sharing
 from quantoid.correspondence import to_polymatroid, to_polyquantoid
-from quantoid.duality import is_selfdual, is_tight
+from quantoid.duality import dual, is_selfdual, is_tight
 from quantoid.errors import NotAMatroid, NotIdeal, NotOfKind, UnknownElement
-from quantoid.expansion import expansion_correspondence_holds
+from quantoid.expansion import expansion_correspondence_holds, free_expand_polymatroid
 from quantoid.setfn import classify, enumerate_rank_functions, from_table, scale
 from quantoid.sharing import (
     access_from_circuits,
@@ -334,3 +334,36 @@ def test_entry_points_classify_once(monkeypatch):
     calls.clear()
     assert expansion_correspondence_holds(e22())
     assert len(calls) == 1
+
+
+def test_each_function_is_scaled_once(monkeypatch):
+    calls = []
+    real = setfn._scaled
+
+    def counting(values):
+        calls.append(values)  # kept alive, so no two calls share an id
+        return real(values)
+
+    f = scale(uniform(2, 4), Fraction(3, 2))
+    r = uniform(2, 4)
+    e = q24()
+    monkeypatch.setattr(setfn, "_scaled", counting)
+
+    for op in (classify, dual, is_selfdual, to_polymatroid, to_polyquantoid):
+        op(f)
+    scale(f, 2)
+    assert all(analyze_sharing(f, dealer).ideal for dealer in f.labels)
+    assert len(calls) == 1 and calls[0] is f.values
+
+    calls.clear()
+    matroid_structure(r)
+    for dealer in r.labels:
+        access_from_circuits(r, dealer)
+    free_expand_polymatroid(r)
+    assert len(calls) == 1 and calls[0] is r.values
+
+    # each dealer's extraction scales its own to_polymatroid partner once
+    calls.clear()
+    assert all(analyze_sharing(e, dealer, "polyquantoid").ideal for dealer in e.labels)
+    assert sum(v is e.values for v in calls) == 1
+    assert len({id(v) for v in calls}) == len(calls) == 1 + e.n
