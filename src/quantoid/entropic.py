@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,11 +45,7 @@ class ApproxSetFunction:
         if len(self.values) != 1 << self.ground.n:
             raise DimensionMismatch(
                 f"expected {1 << self.ground.n} values, got {len(self.values)}")
-        if any(isinstance(v, (bool, np.bool_)) for v in self.values):
-            raise InvalidDistribution("boolean value")
-        values = tuple(float(v) for v in self.values)
-        if not all(math.isfinite(v) for v in values):
-            raise InvalidDistribution("non-finite value")
+        values = _numbers(self.values, float, InvalidDistribution, "value")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         object.__setattr__(self, "values", values)
@@ -73,13 +70,11 @@ class JointDistribution:
         sizes = _sizes_per_party(self.alphabet_sizes, self.parties.n, InvalidDistribution,
                                  "alphabet sizes must be positive integers, one per party")
         object.__setattr__(self, "alphabet_sizes", sizes)
-        probs = tuple(float(p) for p in self.probs)
-        object.__setattr__(self, "probs", probs)
-        if len(probs) != math.prod(sizes):
+        if len(self.probs) != math.prod(sizes):
             raise InvalidDistribution(
-                f"expected {math.prod(sizes)} probabilities, got {len(probs)}")
-        if not all(math.isfinite(p) for p in probs):
-            raise InvalidDistribution("non-finite probability")
+                f"expected {math.prod(sizes)} probabilities, got {len(self.probs)}")
+        probs = _numbers(self.probs, float, InvalidDistribution, "probability")
+        object.__setattr__(self, "probs", probs)
         if any(p < 0 for p in probs):
             raise InvalidDistribution("negative mass")
         total = math.fsum(probs)
@@ -103,16 +98,30 @@ class PureState:
         dims = _sizes_per_party(self.dims, self.parties.n, DimensionMismatch,
                                 "dimensions must be positive integers, one per party")
         object.__setattr__(self, "dims", dims)
-        amps = tuple(complex(a) for a in self.amplitudes)
-        object.__setattr__(self, "amplitudes", amps)
-        if len(amps) != math.prod(dims):
+        if len(self.amplitudes) != math.prod(dims):
             raise DimensionMismatch(
-                f"expected {math.prod(dims)} amplitudes, got {len(amps)}")
-        if not all(cmath.isfinite(a) for a in amps):
-            raise NotNormalized("non-finite amplitude")
+                f"expected {math.prod(dims)} amplitudes, got {len(self.amplitudes)}")
+        amps = _numbers(self.amplitudes, complex, NotNormalized, "amplitude")
+        object.__setattr__(self, "amplitudes", amps)
         norm2 = math.fsum(abs(a) ** 2 for a in amps)
         if abs(norm2 - 1.0) > DEFAULT_TOL:
             raise NotNormalized(f"squared norm {norm2!r} is not 1")
+
+
+def _numbers(raw, kind: type, error: type, what: str) -> tuple:
+    """Each entry of raw as a finite float (kind float) or complex (kind
+    complex).  Only numbers of that kind are read: never a bool or a
+    string, which float() and complex() would otherwise convert."""
+    plain = (float, int) if kind is float else (complex, float, int)  # skips the slow ABC test
+    accepted = numbers.Real if kind is float else numbers.Complex
+    for x in raw:
+        if type(x) not in plain and (isinstance(x, (bool, np.bool_))
+                                     or not isinstance(x, accepted)):
+            raise error(f"{what} {x!r} is not a {'real' if kind is float else 'complex'} number")
+    out = tuple(map(kind, raw))
+    if not all(map(cmath.isfinite, out)):
+        raise error(f"non-finite {what}")
+    return out
 
 
 def _sizes_per_party(raw, n: int, error: type, message: str) -> tuple:
@@ -135,45 +144,67 @@ def _entropy_of(probabilities, base: float) -> float:
 
 
 def shannon_entropy_function(dist: JointDistribution, *, base: float = 2.0) -> ApproxSetFunction:
-    """Entropy of the marginal on every subset of parties (0 log 0 = 0)."""
-    arr = np.asarray(dist.probs, dtype=float).reshape(dist.alphabet_sizes)
-    n = dist.parties.n
-    values = [0.0] * (1 << n)
-    for mask in range(1, 1 << n):
-        drop = tuple(i for i in range(n) if not mask >> i & 1)
-        marginal = arr.sum(axis=drop) if drop else arr
-        values[mask] = _entropy_of(marginal.reshape(-1), base)
+    """Entropy of the marginal on every subset of parties (0 log 0 = 0).
+
+    The subset lattice is walked depth-first from the full table: each
+    marginal is its parent's, one party larger, with that party's axis
+    summed out.  Parties are dropped in increasing index order, so each
+    subset is reached once, and the marginals held at any time, the full
+    table among them, add up to less than twice its size.
+    """
+    values = [0.0] * (1 << dist.parties.n)
+
+    def visit(marginal: np.ndarray, mask: int, parties: tuple, start: int):
+        # axis k of marginal holds party parties[k]; only axes >= start may drop
+        if mask:
+            values[mask] = _entropy_of(marginal.reshape(-1), base)
+        for k in range(start, len(parties)):
+            visit(marginal.sum(axis=k), mask ^ 1 << parties[k],
+                  parties[:k] + parties[k + 1:], k)
+
+    table = np.asarray(dist.probs, dtype=float).reshape(dist.alphabet_sizes)
+    visit(table, len(values) - 1, tuple(range(dist.parties.n)), 0)
     return ApproxSetFunction(dist.parties, tuple(values))
 
 
 def reduced_spectrum(state: PureState, members: Iterable) -> tuple:
     """Ascending eigenvalues of the state's reduction onto the given parties.
 
-    The complement parties are traced out of the rank-one projector; the
-    eigensolve is Hermitian, so the spectrum is real and sums to 1 up to
-    rounding.
+    One eigenvalue per basis state of the kept parties: the complement is
+    traced out of the rank-one projector, and the Hermitian eigensolve runs
+    on the kept side whatever its size, so the spectrum is real, sums to 1
+    up to rounding, and is zero beyond the Schmidt rank.
     """
-    mask = state.parties.mask_of(members)
-    return _spectrum(state, mask)
-
-
-def _spectrum(state: PureState, mask: int) -> tuple:
-    n = state.parties.n
     psi = np.asarray(state.amplitudes, dtype=complex).reshape(state.dims)
-    keep = [i for i in range(n) if mask >> i & 1]
-    drop = [i for i in range(n) if not mask >> i & 1]
-    dim_keep = math.prod(state.dims[i] for i in keep) if keep else 1
-    matrix = psi.transpose(keep + drop).reshape(dim_keep, -1)
-    rho = matrix @ matrix.conj().T
-    return tuple(float(x) for x in np.linalg.eigvalsh(rho))
+    return tuple(float(x) for x in _gram_spectrum(psi, state.parties.mask_of(members)))
+
+
+def _gram_spectrum(psi: np.ndarray, mask: int) -> np.ndarray:
+    """Eigenvalues of m @ m^H, with m the amplitude tensor psi reshaped to
+    (parties in mask, the other parties)."""
+    keep = [i for i in range(psi.ndim) if mask >> i & 1]
+    drop = [i for i in range(psi.ndim) if not mask >> i & 1]
+    m = psi.transpose(keep + drop).reshape(math.prod(psi.shape[i] for i in keep), -1)
+    return np.linalg.eigvalsh(m @ m.conj().T)
 
 
 def von_neumann_entropy_function(state: PureState, *, base: float = 2.0) -> ApproxSetFunction:
-    """Entropy of the reduced density operator on every subset of parties."""
+    """Entropy of the reduced density operator on every subset of parties.
+
+    A pure state's reductions onto A and N-A have the same nonzero spectrum
+    (the Schmidt decomposition), so each complementary pair {A, N-A} is
+    solved once, on the side with the smaller dimension (product of party
+    dims), and both masks get the same entropy: f(A) == f(N-A) exactly,
+    and f({}) = f(N) = 0.0.  That is 2^(n-1) - 1 eigensolves for n >= 1.
+    """
     n = state.parties.n
-    values = [0.0] * (1 << n)
-    for mask in range(1, 1 << n):
-        values[mask] = _entropy_of(_spectrum(state, mask), base)
+    psi = np.asarray(state.amplitudes, dtype=complex).reshape(state.dims)
+    full = (1 << n) - 1
+    values = [0.0] * (full + 1)
+    for mask in range(1, (full + 1) >> 1):  # the masks without party n-1, one per pair
+        dim = math.prod(d for i, d in enumerate(state.dims) if mask >> i & 1)
+        side = mask if dim * dim <= psi.size else full ^ mask
+        values[mask] = values[full ^ mask] = _entropy_of(_gram_spectrum(psi, side), base)
     return ApproxSetFunction(state.parties, tuple(values))
 
 
@@ -181,19 +212,26 @@ def snap_to_rational(f: ApproxSetFunction, max_denominator: int) -> SetFunction:
     """Replace each value by the nearest rational with a bounded denominator.
 
     Fails if any value sits farther than the function's tolerance from its
-    snap target.
+    snap target; the message names the first such value, then the worst
+    residual and its subset.
     """
     if max_denominator < 1:
         raise SnapFailed(f"max_denominator {max_denominator} is not at least 1")
     out = []
+    off = []  # (mask, residual) of each value farther than tol from its target
     for mask, v in enumerate(f.values):
         target = Fraction(v).limit_denominator(max_denominator)
-        if abs(v - target) > f.tol:
-            key = f.ground.key_of(mask)
-            raise SnapFailed(
-                f"{{{key}}}: {v!r} is not within {f.tol} of a rational "
-                f"with denominator <= {max_denominator}")
+        residual = abs(v - target)
+        if residual > f.tol:
+            off.append((mask, residual))
         out.append(target)
+    if off:
+        first = off[0][0]
+        worst, residual = max(off, key=lambda item: item[1])
+        raise SnapFailed(
+            f"{{{f.ground.key_of(first)}}}: {f.values[first]!r} is not within {f.tol} of a "
+            f"rational with denominator <= {max_denominator}; worst residual "
+            f"{residual!r} at {{{f.ground.key_of(worst)}}}")
     return SetFunction(f.ground, tuple(out))
 
 

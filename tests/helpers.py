@@ -6,6 +6,9 @@ from fractions import Fraction
 import itertools
 import random
 
+import numpy as np
+
+from quantoid.entropic import ApproxSetFunction, _entropy_of, reduced_spectrum
 from quantoid.expansion import QUANTOID_EXPANSION, TWO_FACTOR, adapted_sets
 from quantoid.setfn import Classification, SetFunction, from_table, submasks
 from quantoid.sharing import MatroidStructure
@@ -374,3 +377,27 @@ def approx_submodular_all_pairs(f):
         v[i] + v[j] >= v[i | j] + v[i & j] - f.tol
         for i in range(size) for j in range(i, size)
     )
+
+
+def shannon_entropy_function_loops(dist, base=2.0):
+    """Entropy of every marginal, each summed out of the full table: the
+    reference for the library's depth-first shannon_entropy_function."""
+    arr = np.asarray(dist.probs, dtype=float).reshape(dist.alphabet_sizes)
+    n = dist.parties.n
+    values = [0.0] * (1 << n)
+    for mask in range(1, 1 << n):
+        drop = tuple(i for i in range(n) if not mask >> i & 1)
+        marginal = arr.sum(axis=drop) if drop else arr
+        values[mask] = _entropy_of(marginal.reshape(-1), base)
+    return ApproxSetFunction(dist.parties, tuple(values))
+
+
+def von_neumann_entropy_function_loops(state, base=2.0):
+    """Entropy of every reduction, each eigensolved on its own kept side:
+    the reference for the library's one-solve-per-complementary-pair
+    von_neumann_entropy_function."""
+    n = state.parties.n
+    values = [0.0] * (1 << n)
+    for mask in range(1, 1 << n):
+        values[mask] = _entropy_of(reduced_spectrum(state, state.parties.members(mask)), base)
+    return ApproxSetFunction(state.parties, tuple(values))

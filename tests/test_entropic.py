@@ -32,6 +32,8 @@ from helpers import (
     is_approx_polymatroid_all_pairs,
     is_approx_polyquantoid_all_pairs,
     labels_for,
+    shannon_entropy_function_loops,
+    von_neumann_entropy_function_loops,
 )
 
 TOL = 1e-9
@@ -325,3 +327,178 @@ def test_approx_checks_at_sixteen_elements():
     q = ApproxSetFunction(u.ground, tuple(min(u[m], u[m ^ 0xFFFF]) for m in range(1 << 16)))
     assert is_approx_polymatroid(u) and not is_approx_polyquantoid(u)
     assert is_approx_polyquantoid(q) and not is_approx_polymatroid(q)
+
+
+# -- constructors against their per-mask oracles ------------------------------------
+
+MIXED_SIZES = [(1,), (3,), (3, 1), (1, 2, 3), (3, 2, 1, 3), (2, 3, 1, 1, 3)]
+ORACLE_TOL = 1e-10
+
+
+def distribution_on(rng, sizes, kind):
+    """A seeded distribution on parties of the given alphabet sizes: dense,
+    sparse (about half the outcomes impossible) or a product of marginals."""
+    if kind == "product":
+        probs = np.ones(1)
+        for s in sizes:
+            p = rng.random(s)
+            probs = np.kron(probs, p / p.sum())
+    else:
+        probs = rng.random(math.prod(sizes)) ** 3
+        if kind == "sparse":
+            probs[1:] *= rng.random(probs.size - 1) < 0.5
+        probs /= probs.sum()
+    return JointDistribution(GroundSet(labels_for(len(sizes))), sizes, tuple(probs))
+
+
+def state_on(rng, dims, product=False):
+    """A seeded unit vector on parties of the given dimensions, entangled or
+    a product of one vector per party."""
+    if product:
+        amps = np.ones(1)
+        for d in dims:
+            q = rng.normal(size=d) + 1j * rng.normal(size=d)
+            amps = np.kron(amps, q / np.linalg.norm(q))
+    else:
+        size = math.prod(dims)
+        amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+        amps /= np.linalg.norm(amps)
+    return PureState(GroundSet(labels_for(len(dims))), dims, tuple(amps))
+
+
+def test_shannon_equals_per_mask_oracle():
+    rng = np.random.default_rng(20121019)
+    shapes = [(2,) * n for n in range(8)] + MIXED_SIZES
+    for sizes in shapes:
+        for kind in ("dense", "sparse", "product"):
+            dist = distribution_on(rng, sizes, kind)
+            f, oracle = shannon_entropy_function(dist), shannon_entropy_function_loops(dist)
+            assert f.values[0] == 0.0 and f.ground == oracle.ground
+            assert np.allclose(f.values, oracle.values, rtol=0, atol=ORACLE_TOL), (sizes, kind)
+    dist = JointDistribution(two_parties(), (2, 2), (0.5, 0, 0, 0.5))
+    assert shannon_entropy_function(dist, base=math.e).values == pytest.approx(
+        shannon_entropy_function_loops(dist, base=math.e).values, abs=ORACLE_TOL)
+
+
+def test_von_neumann_equals_per_mask_oracle_and_is_complement_symmetric():
+    rng = np.random.default_rng(20121020)
+    shapes = [(2,) * n for n in range(8)] + MIXED_SIZES
+    for dims in shapes:
+        for product in (False, True):
+            state = state_on(rng, dims, product)
+            f, oracle = von_neumann_entropy_function(state), von_neumann_entropy_function_loops(state)
+            full = len(f.values) - 1
+            assert f.values[0] == 0.0 and f.values[full] == 0.0
+            assert all(f.values[m] == f.values[full ^ m] for m in range(full + 1)), dims
+            assert np.allclose(f.values, oracle.values, rtol=0, atol=ORACLE_TOL), (dims, product)
+    state = ghz_state()
+    assert von_neumann_entropy_function(state, base=math.e).values == pytest.approx(
+        von_neumann_entropy_function_loops(state, base=math.e).values, abs=ORACLE_TOL)
+
+
+def test_reduced_spectrum_has_one_value_per_kept_basis_state():
+    rng = np.random.default_rng(20121021)
+    for dims in [(2, 2, 2), (3, 2, 1, 3)]:
+        state = state_on(rng, dims)
+        for mask in range(1 << len(dims)):
+            kept = math.prod(d for i, d in enumerate(dims) if mask >> i & 1)
+            spectrum = reduced_spectrum(state, state.parties.members(mask))
+            assert len(spectrum) == kept
+            assert list(spectrum) == sorted(spectrum)
+            assert sum(spectrum) == pytest.approx(1.0, abs=TOL)
+
+
+def test_one_eigensolve_per_complementary_pair_on_the_smaller_side(monkeypatch):
+    sides = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        sides.append(a.shape[-1])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    rng = np.random.default_rng(20121022)
+    for dims in [(), (2,), (3,), (2, 3), (3, 1, 2, 3, 2), (2,) * 10]:
+        state = state_on(rng, dims)
+        sides.clear()
+        von_neumann_entropy_function(state)
+        n, full = len(dims), (1 << len(dims)) - 1
+
+        def dim(mask):
+            return math.prod(d for i, d in enumerate(dims) if mask >> i & 1)
+
+        expected = [min(dim(m), dim(full ^ m)) for m in range(1, full) if m < full ^ m]
+        assert len(sides) == max(0, (1 << n >> 1) - 1)
+        assert sorted(sides) == sorted(expected), dims
+    assert max(sides) == 32  # ten qubits: never a side of more than five
+
+
+def test_twelve_qubit_bell_pairs_snap_to_split_pair_counts():
+    # six Bell pairs over a seeded pairing: S(A) is the number of pairs A splits
+    n = 12
+    order = [int(x) for x in np.random.default_rng(20121023).permutation(n)]
+    pairs = [(order[2 * j], order[2 * j + 1]) for j in range(n // 2)]
+    psi = np.zeros(1 << n)
+    for choice in range(1 << len(pairs)):
+        index = sum((1 << n - 1 - a) | (1 << n - 1 - b)  # party 1 is the slowest index
+                    for j, (a, b) in enumerate(pairs) if choice >> j & 1)
+        psi[index] = 1
+    psi /= math.sqrt(1 << len(pairs))
+    state = PureState(GroundSet(labels_for(n)), (2,) * n, tuple(psi))
+    snapped = snap_to_rational(von_neumann_entropy_function(state), 1)
+    assert snapped.values == tuple(
+        Fraction(sum((m >> a & 1) != (m >> b & 1) for a, b in pairs)) for m in range(1 << n))
+
+
+# -- one reader for float values, probabilities and amplitudes -------------------------
+
+NOT_NUMBERS = [  # (value, the number float() or complex() would read it as)
+    pytest.param(None, 0.0, id="None"),
+    pytest.param(object(), 0.0, id="object"),
+    pytest.param("x", 0.0, id="str"),
+    pytest.param("0.5", 0.5, id="numeric-str"),
+    pytest.param(True, 1.0, id="True"),
+    pytest.param(False, 0.0, id="False"),
+    pytest.param(np.True_, 1.0, id="bool_"),
+]
+NOT_REAL = NOT_NUMBERS + [pytest.param(0.5 + 0j, 0.5, id="complex")]
+ONE = GroundSet(("1",))
+
+
+@pytest.mark.parametrize("value,reads_as", NOT_REAL)
+def test_approx_set_function_reads_only_real_numbers(value, reads_as):
+    with pytest.raises(InvalidDistribution):
+        ApproxSetFunction(ONE, (0.0, value))
+
+
+@pytest.mark.parametrize("value,reads_as", NOT_REAL)
+def test_distribution_reads_only_real_numbers(value, reads_as):
+    # the other probability makes the total 1 if value were read as reads_as
+    with pytest.raises(InvalidDistribution):
+        JointDistribution(ONE, (2,), (value, 1.0 - reads_as))
+
+
+@pytest.mark.parametrize("value,reads_as", NOT_NUMBERS)
+def test_pure_state_reads_only_complex_numbers(value, reads_as):
+    # the other amplitude makes the norm 1 if value were read as reads_as
+    with pytest.raises(NotNormalized):
+        PureState(ONE, (2,), (value, math.sqrt(1.0 - reads_as ** 2)))
+
+
+def test_readers_accept_numbers_of_any_numeric_type():
+    f = ApproxSetFunction(ONE, (0, Fraction(1, 2)))
+    assert f.values == (0.0, 0.5) and all(type(v) is float for v in f.values)
+    dist = JointDistribution(ONE, (2,), (np.float32(0.25), Fraction(3, 4)))
+    assert dist.probs == (0.25, 0.75)
+    state = PureState(ONE, (2,), (np.complex64(1), np.int64(0)))
+    assert state.amplitudes == (1 + 0j, 0j) and all(type(a) is complex for a in state.amplitudes)
+
+
+def test_snap_failure_names_first_value_and_worst_residual():
+    f = ApproxSetFunction(two_parties(), (0.0, 0.1, 0.4, 1.0))
+    with pytest.raises(SnapFailed) as info:
+        snap_to_rational(f, 1)
+    message = str(info.value)
+    assert message.startswith("{1}: 0.1 is not within 1e-09 of a rational with denominator <= 1")
+    assert message.endswith("worst residual 0.4 at {2}")
+    assert "\n" not in message
