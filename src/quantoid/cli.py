@@ -38,44 +38,31 @@ def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return json.load(handle)
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too many digits
             raise MalformedDocument(str(exc)) from None
 
 
-def _emit(text: str, outfile: str | None):
-    if outfile:
-        with open(outfile, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple:
     f = documents.set_function_from_doc(_read_json(args.file))
-    _emit(documents.dumps(classify(f).as_dict()), None)
-    return 0
+    return classify(f).as_dict(), 0
 
 
-def _cmd_transform(args) -> int:
+def _cmd_transform(args) -> tuple:
     f = documents.set_function_from_doc(_read_json(args.file))
-    result = _TRANSFORMS[args.op](f)
-    _emit(documents.dumps(documents.set_function_to_doc(result)), args.out)
-    return 0
+    return documents.set_function_to_doc(_TRANSFORMS[args.op](f)), 0
 
 
-def _cmd_share(args) -> int:
+def _cmd_share(args) -> tuple:
     f = documents.set_function_from_doc(_read_json(args.file))
     report = analyze_sharing(f, args.dealer, args.kind)
-    _emit(documents.dumps(documents.sharing_report_to_doc(report)), args.out)
-    return 0 if report.ideal else 1
+    return documents.sharing_report_to_doc(report), 0 if report.ideal else 1
 
 
-def _cmd_expand(args) -> int:
+def _cmd_expand(args) -> tuple:
     f = documents.set_function_from_doc(_read_json(args.file))
     if args.verify_lemma52:
         verdict = expansion_correspondence_holds(f)
-        _emit(documents.dumps({"lemma52": verdict}), args.out)
-        return 0 if verdict else 1
+        return {"lemma52": verdict}, 0 if verdict else 1
     if args.mode is None:
         raise QuantoidError("expand requires --mode or --verify-lemma52")
     builder = {
@@ -83,12 +70,10 @@ def _cmd_expand(args) -> int:
         "quantoid": free_expand_polyquantoid,
         "two-factor": two_factor,
     }[args.mode]
-    expansion = builder(f)
-    _emit(documents.dumps(documents.expansion_to_doc(expansion)), args.out)
-    return 0
+    return documents.expansion_to_doc(builder(f)), 0
 
 
-def _cmd_entropy(args) -> int:
+def _cmd_entropy(args) -> tuple:
     if args.classical:
         dist = documents.distribution_from_doc(_read_json(args.classical))
         fn = shannon_entropy_function(dist)
@@ -96,12 +81,8 @@ def _cmd_entropy(args) -> int:
         state = documents.pure_state_from_doc(_read_json(args.quantum))
         fn = von_neumann_entropy_function(state)
     if args.snap is not None:
-        exact = snap_to_rational(fn, args.snap)
-        doc = documents.set_function_to_doc(exact)
-    else:
-        doc = documents.approx_set_function_to_doc(fn)
-    _emit(documents.dumps(doc), args.out)
-    return 0
+        return documents.set_function_to_doc(snap_to_rational(fn, args.snap)), 0
+    return documents.approx_set_function_to_doc(fn), 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="print the axiom classification of a set-function document")
     p.add_argument("file")
-    p.set_defaults(handler=_cmd_check)
+    p.set_defaults(handler=_cmd_check, out=None)
 
     for op, blurb in [
         ("dual", "apply the singleton-preserving duality mapping"),
@@ -155,9 +136,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        doc, code = args.handler(args)
+        text = documents.dumps(doc)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except (QuantoidError, OSError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        message = str(exc).replace("\r", "\\r").replace("\n", "\\n")  # one stderr line
+        print(f"{type(exc).__name__}: {message}", file=sys.stderr)
         return 2
 
 

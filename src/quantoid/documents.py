@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import json
 
-from .entropic import ApproxSetFunction, JointDistribution, PureState
-from .errors import InvalidLabel, MalformedDocument
+from .entropic import ApproxSetFunction, JointDistribution, PureState, _numbers
+from .errors import InvalidLabel, MalformedDocument, NotNormalized
 from .expansion import Expansion
 from .setfn import GroundSet, SetFunction, build
 from .sharing import SharingReport
@@ -42,9 +42,10 @@ def _field(doc, name: str, kind: type):
 
 
 def _labels(labels: list) -> tuple:
-    # the library reads int labels as strings; a document must spell them
+    # the library reads int labels as strings; a document must spell them,
+    # without a lone surrogate, which an output document could not encode
     for x in labels:
-        if not isinstance(x, str):
+        if not isinstance(x, str) or any("\ud800" <= c <= "\udfff" for c in x):
             raise InvalidLabel(repr(x))
     return tuple(labels)
 
@@ -88,7 +89,7 @@ def pure_state_from_doc(doc) -> PureState:
         if not (isinstance(entry, list) and len(entry) == 2
                 and all(_is_number(x) for x in entry)):
             raise MalformedDocument("amplitudes: expected [re, im] pairs")
-        amplitudes.append(complex(entry[0], entry[1]))
+        amplitudes.append(complex(*_numbers(entry, float, NotNormalized, "amplitude")))
     return PureState(parties, tuple(dims), tuple(amplitudes))
 
 

@@ -28,7 +28,7 @@ from .errors import (
     NotNormalized,
     SnapFailed,
 )
-from .setfn import GroundSet, SetFunction
+from .setfn import GroundSet, SetFunction, _increments, _two_point_gains
 
 DEFAULT_TOL = 1e-9
 
@@ -46,8 +46,8 @@ class ApproxSetFunction:
             raise DimensionMismatch(
                 f"expected {1 << self.ground.n} values, got {len(self.values)}")
         values = _numbers(self.values, float, InvalidDistribution, "value")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not _numbers((self.tol,), float, InvalidDistribution, "tol")[0] > 0:
+            raise InvalidDistribution(f"tol {self.tol!r} is not positive")
         object.__setattr__(self, "values", values)
 
     @property
@@ -111,15 +111,20 @@ class PureState:
 def _numbers(raw, kind: type, error: type, what: str) -> tuple:
     """Each entry of raw as a finite float (kind float) or complex (kind
     complex).  Only numbers of that kind are read: never a bool or a
-    string, which float() and complex() would otherwise convert."""
+    string, which float() and complex() would otherwise convert.  A
+    number beyond the float range counts as non-finite."""
     plain = (float, int) if kind is float else (complex, float, int)  # skips the slow ABC test
     accepted = numbers.Real if kind is float else numbers.Complex
     for x in raw:
         if type(x) not in plain and (isinstance(x, (bool, np.bool_))
                                      or not isinstance(x, accepted)):
             raise error(f"{what} {x!r} is not a {'real' if kind is float else 'complex'} number")
-    out = tuple(map(kind, raw))
-    if not all(map(cmath.isfinite, out)):
+    try:
+        out = tuple(map(kind, raw))
+        finite = all(map(cmath.isfinite, out))
+    except OverflowError:  # an int or Fraction too large for a float
+        finite = False
+    if not finite:
         raise error(f"non-finite {what}")
     return out
 
@@ -246,8 +251,7 @@ def is_approx_polymatroid(f: ApproxSetFunction) -> bool:
     """
     v = np.array(f.values)
     return (abs(f.values[0]) <= f.tol
-            and all((r[:, 0] <= r[:, 1] + f.tol).all()
-                    for r in (v.reshape(-1, 2, 1 << i) for i in range(f.n)))
+            and all((lo <= hi + f.tol).all() for lo, hi in _increments(v, f.n))
             and _approx_submodular(v, f.n, f.tol))
 
 
@@ -264,13 +268,6 @@ def is_approx_polyquantoid(f: ApproxSetFunction) -> bool:
 
 
 def _approx_submodular(v: np.ndarray, n: int, tol: float) -> bool:
-    # the two-point test of setfn._submodular: the gain of b grows by at
-    # most tol when c < b joins
-    for b in range(1, n):
-        r = v.reshape(-1, 2, 1 << b)
-        gain = (r[:, 1] - r[:, 0]).ravel()
-        for c in range(b):
-            g = gain.reshape(-1, 2, 1 << c)
-            if not (g[:, 1] <= g[:, 0] + tol).all():
-                return False
-    return True
+    # setfn._submodular's two-point test: the gain of b grows by at most
+    # tol when c < b joins
+    return all((at_sc <= at_s + tol).all() for at_sc, at_s in _two_point_gains(v, n))

@@ -85,7 +85,9 @@ class ExpansionTooLarge(QuantoidError):
 # -- entropic constructors ---------------------------------------------------
 
 class InvalidDistribution(QuantoidError):
-    """Negative mass, wrong table length, or total mass not 1 within tolerance."""
+    """A probability, value or tolerance that is not a finite real number
+    (tolerances must also be positive), negative mass, wrong table length,
+    or total mass not 1 within tolerance."""
 
 
 class NotNormalized(QuantoidError):

@@ -62,6 +62,7 @@ from .setfn import (
     GroundSet,
     SetFunction,
     _from_scaled,
+    _halves,
     _modular,
     classify,
     submasks,
@@ -153,10 +154,10 @@ def _count_table(a: np.ndarray, sizes: Sequence[int], weight: int,
     # never holds more than max(2^n, prod(s_i + 1)) entries
     for i in sorted(range(len(sizes)), key=lambda i: sizes[i] > 0):
         s = sizes[i]
-        r = a.reshape(-1, 2, math.prod(radix[:i]))
+        out, inside = _halves(a, math.prod(radix[:i]))  # i not in J, i in J
         c = np.arange(s + 1).reshape(-1, 1)
-        a = np.minimum(r[:, :1] + weight * c,
-                       r[:, 1:] + (weight * (s - c) if symmetric else 0)).ravel()
+        a = np.minimum(out[:, None] + weight * c,
+                       inside[:, None] + (weight * (s - c) if symmetric else 0)).ravel()
         radix[i] = s + 1
     return a
 

@@ -16,6 +16,10 @@ max|x| * (4n + 4) < 2**63 (a dual value is three table values plus n
 gains of four).  Otherwise the same code runs on Python ints in an
 object array, so the result is exact either way.  A SetFunction computes
 its table on first use, once per object, and keeps it read-only.
+
+_halves is the one split of a table: it gives the views (f(S), f(S+i))
+of the masks S without element i, and every walk over elements or pairs
+of elements, in this module and the others, exact or float, reads them.
 """
 
 from __future__ import annotations
@@ -267,29 +271,41 @@ def _singleton_sums(a: np.ndarray, n: int) -> np.ndarray:
     return _modular([a[1 << i] for i in range(n)], a.dtype)
 
 
-def _nondecreasing(a: np.ndarray, n: int) -> bool:
-    # axis 1 is bit i: f(S) <= f(S+i) for every S without i
+def _halves(a: np.ndarray, stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """The views (f(S), f(S+i)) of table a for stride = 1 << i, with S
+    over the masks without bit i, ascending.  A mixed-radix count table
+    splits the same way at the stride of a radix-2 digit."""
+    r = a.reshape(-1, 2, stride)
+    return r[:, 0], r[:, 1]
+
+
+def _increments(a: np.ndarray, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """_halves(a, 1 << i) for every element i: (f(S), f(S+i))."""
     for i in range(n):
-        r = a.reshape(-1, 2, 1 << i)
-        if not (r[:, 0] <= r[:, 1]).all():
-            return False
-    return True
+        yield _halves(a, 1 << i)
+
+
+def _two_point_gains(a: np.ndarray, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """For every pair c < b, the gain of b at S+c and at S, over the S
+    without b and c.  One gain table at a time keeps memory at one table."""
+    for b in range(1, n):
+        without, with_b = _halves(a, 1 << b)
+        gain = (with_b - without).ravel()  # over the other elements; c < b keeps bit c
+        for c in range(b):
+            at_s, at_sc = _halves(gain, 1 << c)
+            yield at_sc, at_s
+
+
+def _nondecreasing(a: np.ndarray, n: int) -> bool:
+    return all((lo <= hi).all() for lo, hi in _increments(a, n))
 
 
 def _submodular(a: np.ndarray, n: int) -> bool:
     # Two-point criterion: for every S and distinct b, c outside S,
     # f(S+b) + f(S+c) >= f(S+b+c) + f(S), that is, the gain of b does not
     # grow when c joins.  Equivalent to the all-pairs definition for
-    # functions on the full subset lattice.  One pair at a time keeps
-    # memory at one table.
-    for b in range(1, n):
-        r = a.reshape(-1, 2, 1 << b)
-        gain = (r[:, 1] - r[:, 0]).ravel()  # over the other elements; c < b keeps bit c
-        for c in range(b):
-            g = gain.reshape(-1, 2, 1 << c)
-            if not (g[:, 0] >= g[:, 1]).all():
-                return False
-    return True
+    # functions on the full subset lattice.
+    return all((at_sc <= at_s).all() for at_sc, at_s in _two_point_gains(a, n))
 
 
 def _tight(v: Sequence, n: int) -> bool:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .correspondence import to_polymatroid
 from .errors import NotAMatroid, NotIdeal, NotOfKind
-from .setfn import POLYMATROID, POLYQUANTOID, SetFunction, classify, scale
+from .setfn import POLYMATROID, POLYQUANTOID, SetFunction, _halves, _increments, classify, scale
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ class _Flags(NamedTuple):
 
 def _coalitions(n: int, dealer_bit: int) -> np.ndarray:
     """The masks without the dealer bit, ascending: a table's dealer-axis order."""
-    return np.arange(1 << n).reshape(-1, 2, dealer_bit)[:, 0].ravel()
+    return _halves(np.arange(1 << n), dealer_bit)[0].ravel()
 
 
 def _one_smaller(n: int) -> tuple:
@@ -85,8 +85,8 @@ def _one_smaller(n: int) -> tuple:
 def _sharing_flags(f: SetFunction, dealer_bit: int, quantum: bool) -> _Flags:
     a, _ = f._scaled_table
     secret = a[dealer_bit]
-    r = a.reshape(-1, 2, dealer_bit)
-    inc = (r[:, 1] - r[:, 0]).ravel()  # the dealer's increment, in _coalitions order
+    without, with_dealer = _halves(a, dealer_bit)
+    inc = (with_dealer - without).ravel()  # the dealer's increment, in _coalitions order
     authorized = inc == (-secret if quantum else 0)
     full_info = inc == secret
     allowed = authorized | full_info
@@ -245,7 +245,7 @@ def access_from_circuits(r: SetFunction, dealer) -> tuple:
     closure = np.zeros(1 << r.n, dtype=bool)
     circuits = _circuit_masks(r)
     closure[circuits[circuits & dbit != 0]] = True
-    for i in range(r.n):
-        closure.reshape(-1, 2, 1 << i)[:, 1] |= closure.reshape(-1, 2, 1 << i)[:, 0]
-    family = _coalitions(r.n, dbit)[closure.reshape(-1, 2, dbit)[:, 1].ravel()]
+    for without, with_i in _increments(closure, r.n):
+        with_i |= without
+    family = _coalitions(r.n, dbit)[_halves(closure, dbit)[1].ravel()]
     return _members_of(r, family.tolist())

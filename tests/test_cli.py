@@ -213,6 +213,26 @@ def test_malformed_entropy_input_exit_two(tmp_path, capsys, error, flag, doc, ex
     assert re.fullmatch(r"\w+: [^\n]*\n", err) and err.startswith(f"{error}: ")
 
 
+OUT_OF_RANGE = {  # name: (command, document text, error)
+    "probability": (["entropy", "--classical"], '{"parties": ["1"], "alphabets": [2], '
+                    '"probs": [1' + "0" * 400 + ", 0]}", "InvalidDistribution"),
+    "amplitude": (["entropy", "--quantum"], '{"parties": ["1"], "dims": [2], '
+                  '"amplitudes": [[1' + "0" * 400 + ", 0], [0, 0]]}", "NotNormalized"),
+    "5001-digits": (["check"], '{"ground_set": [], "values": {"": 1' + "0" * 5000 + "}}",
+                    "MalformedDocument"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_RANGE))
+def test_out_of_range_number_exit_two(tmp_path, capsys, name):
+    command, text, error = OUT_OF_RANGE[name]
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, out, err = run(capsys, *command, str(path))
+    assert code == 2 and out == ""
+    assert re.fullmatch(r"\w+: [^\n]*\n", err) and err.startswith(f"{error}: ")
+
+
 def test_boolean_value_exit_two(tmp_path, capsys):
     path = tmp_path / "bool.json"
     path.write_text(json.dumps({"ground_set": ["1"], "values": {"": "0", "1": True}}))

@@ -28,3 +28,15 @@ def test_only_setfn_scales_a_table():
              if isinstance(node, ast.ImportFrom) and any(a.name == "_scaled" for a in node.names)
              or isinstance(node, ast.Attribute) and node.attr == "_scaled"]
     assert len(SOURCES) >= 10 and found == []
+
+
+def test_only_setfn_splits_a_table():
+    # setfn._halves is the one place that knows the subset-table layout, so
+    # every other module asks it for (f(S), f(S+i)) in place of a reshape
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES if path.name != "setfn.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "reshape"
+             and [ast.unparse(x) for x in node.args[:2]] == ["-1", "2"]]
+    assert len(SOURCES) >= 10 and found == []

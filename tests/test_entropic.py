@@ -494,6 +494,25 @@ def test_readers_accept_numbers_of_any_numeric_type():
     assert state.amplitudes == (1 + 0j, 0j) and all(type(a) is complex for a in state.amplitudes)
 
 
+@pytest.mark.parametrize("tol", [0, -1, math.nan, "x", None, math.inf, True],
+                         ids=["zero", "negative", "nan", "str", "None", "inf", "True"])
+def test_tolerance_is_a_finite_positive_real_number(tol):
+    # with tol = inf or True, snap_to_rational(f, 1) would snap 0.3 to 0
+    with pytest.raises(InvalidDistribution, match="tol"):
+        ApproxSetFunction(ONE, (0.0, 0.3), tol)
+
+
+def test_readers_reject_numbers_beyond_the_float_range():
+    with pytest.raises(InvalidDistribution, match="non-finite value"):
+        ApproxSetFunction(ONE, (0.0, 10**400))
+    with pytest.raises(InvalidDistribution, match="non-finite tol"):
+        ApproxSetFunction(ONE, (0.0, 0.3), 10**400)
+    with pytest.raises(InvalidDistribution, match="non-finite probability"):
+        JointDistribution(ONE, (2,), (10**400, 0))
+    with pytest.raises(NotNormalized, match="non-finite amplitude"):
+        PureState(ONE, (2,), (10**400, 0))
+
+
 def test_snap_failure_names_first_value_and_worst_residual():
     f = ApproxSetFunction(two_parties(), (0.0, 0.1, 0.4, 1.0))
     with pytest.raises(SnapFailed) as info:
