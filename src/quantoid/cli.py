@@ -59,12 +59,12 @@ def _cmd_share(args) -> tuple:
 
 
 def _cmd_expand(args) -> tuple:
+    if (args.mode is not None) == args.verify_lemma52:
+        raise QuantoidError("expand takes exactly one of --mode and --verify-lemma52")
     f = documents.set_function_from_doc(_read_json(args.file))
     if args.verify_lemma52:
         verdict = expansion_correspondence_holds(f)
         return {"lemma52": verdict}, 0 if verdict else 1
-    if args.mode is None:
-        raise QuantoidError("expand requires --mode or --verify-lemma52")
     builder = {
         "matroid": free_expand_polymatroid,
         "quantoid": free_expand_polyquantoid,

@@ -15,9 +15,10 @@ identical objects always produce identical bytes.
 from __future__ import annotations
 
 import json
+import sys
 
 from .entropic import ApproxSetFunction, JointDistribution, PureState, _numbers
-from .errors import InvalidLabel, MalformedDocument, NotNormalized
+from .errors import InvalidLabel, MalformedDocument, NotNormalized, ValueTooLarge
 from .expansion import Expansion
 from .setfn import GroundSet, SetFunction, build
 from .sharing import SharingReport
@@ -50,10 +51,19 @@ def _labels(labels: list) -> tuple:
     return tuple(labels)
 
 
+def _texts(values) -> list:
+    """str of each exact value; past int's str limit, ValueTooLarge."""
+    try:
+        return list(map(str, values))
+    except ValueError:
+        raise ValueTooLarge(
+            f"an output value has more than {sys.get_int_max_str_digits()} digits") from None
+
+
 def set_function_to_doc(f: SetFunction) -> dict:
     return {
         "ground_set": list(f.labels),
-        "values": {key: str(value) for key, value in f.table().items()},
+        "values": dict(zip(f.ground.subset_keys(), _texts(f.values))),
     }
 
 
@@ -105,7 +115,7 @@ def sharing_report_to_doc(report: SharingReport) -> dict:
     }
     if report.extraction is not None:
         t, rank = report.extraction
-        doc["extraction"] = {"t": str(t), "rank": set_function_to_doc(rank)}
+        doc["extraction"] = {"t": _texts([t])[0], "rank": set_function_to_doc(rank)}
     return doc
 
 

@@ -36,6 +36,11 @@ class MalformedRational(QuantoidError):
     """A value could not be read as an exact rational."""
 
 
+class ValueTooLarge(MalformedRational):
+    """An exact value whose numerator or denominator has more digits than
+    int's str limit, sys.get_int_max_str_digits(), on input or output."""
+
+
 class MalformedDocument(QuantoidError):
     """A JSON document is missing a field or has one of the wrong shape."""
 

@@ -135,8 +135,7 @@ def adapted_sets(block_map: BlockMap, subset) -> tuple:
             upper |= 1 << i
             if b & K == b:
                 lower |= 1 << i
-    out = sorted(lower | s for s in submasks(upper & ~lower))
-    return tuple(block_map.source.members(m) for m in out)
+    return tuple(block_map.source.members(lower | s) for s in submasks(upper & ~lower))
 
 
 def _count_table(a: np.ndarray, sizes: Sequence[int], weight: int,

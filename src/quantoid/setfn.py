@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -42,6 +43,7 @@ from .errors import (
     NonpositiveScale,
     UnknownElement,
     UnknownSubsetKey,
+    ValueTooLarge,
 )
 
 MAX_GROUND_SIZE = 16
@@ -56,13 +58,21 @@ def as_rational(value) -> Fraction:
     Other types, numpy scalars among them, are rejected.  Floats are not
     exact and must be snapped explicitly (see quantoid.entropic.snap_to_rational).
     Booleans are rejected too, although Python counts them as ints.
+    Integers in a string may not pass int's str limit,
+    sys.get_int_max_str_digits(), and neither may a mantissa's digits plus
+    its exponent's magnitude: "1e5000" is rejected before Fraction builds
+    10**5000.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        mantissa, e, exponent = value.lower().partition("e")
+        limit = sys.get_int_max_str_digits()
         try:
+            if e and limit and sum(map(str.isdigit, mantissa)) + abs(int(exponent)) > limit:
+                raise ValueTooLarge(f"{value!r} (past the {limit}-digit limit)")
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise MalformedRational(repr(value)) from exc
@@ -398,10 +408,12 @@ def enumerate_rank_functions(kind: str, n: int, cap: int) -> Iterator[SetFunctio
     """Yield every integer-valued function on n elements with values in [0, cap]
     that satisfies the axioms of `kind` ("polymatroid" or "polyquantoid").
 
-    Deterministic: functions come out in lexicographic order of the value
-    table.  Backtracking assigns values mask by mask, pruning with the local
-    monotonicity/submodularity bounds (and forced complement values for
-    polyquantoids), so only valid tables are ever completed.
+    Lazy and deterministic: functions come out one at a time, in
+    lexicographic order of the value table, for every n up to
+    MAX_GROUND_SIZE.  A flat depth-first walk assigns values mask by mask,
+    pruning with the local monotonicity/submodularity bounds (and forced
+    complement values for polyquantoids), so only valid tables are ever
+    completed.
     """
     if kind not in (POLYMATROID, POLYQUANTOID):
         raise ValueError(f"unknown kind {kind!r}")
@@ -409,35 +421,28 @@ def enumerate_rank_functions(kind: str, n: int, cap: int) -> Iterator[SetFunctio
         raise ValueError("n and cap must be nonnegative")
     ground = GroundSet(tuple(str(i + 1) for i in range(n)))
 
-    size = 1 << n
-    full = size - 1
-    table = [0] * size
+    full = (1 << n) - 1
+    below = [[m ^ 1 << i for i in range(n) if m >> i & 1] for m in range(full + 1)]
+    table = [0] * (full + 1)
 
-    def candidates(m: int) -> range:
-        if m == 0:
-            return range(0, 1)  # normalized
-        bits = [i for i in range(n) if m >> i & 1]
-        hi = cap
-        for a, b in itertools.combinations(bits, 2):
-            hi = min(hi, table[m ^ (1 << a)] + table[m ^ (1 << b)]
-                     - table[m ^ (1 << a) ^ (1 << b)])
-        lo = 0
-        if kind == POLYMATROID:
-            for i in bits:
-                lo = max(lo, table[m ^ (1 << i)])
-        else:
-            comp = full ^ m
-            if comp < m:
-                forced = table[comp]
-                return range(forced, forced + 1) if lo <= forced <= hi else range(0)
+    def choices(m: int) -> range:
+        xs = below[m]  # the masks one element smaller
+        hi = min([cap] + [table[x] + table[y] - table[x & y]
+                          for x, y in itertools.combinations(xs, 2)])
+        lo = max(map(table.__getitem__, xs)) if kind == POLYMATROID else 0
+        if kind == POLYQUANTOID and full ^ m < m:  # the complement's value is forced
+            lo = table[full ^ m]
+            hi = min(hi, lo)
         return range(lo, hi + 1)
 
-    def walk(m: int) -> Iterator[SetFunction]:
-        if m == size:
-            yield SetFunction(ground, tuple(Fraction(x) for x in table))
-            return
-        for val in candidates(m):
-            table[m] = val
-            yield from walk(m + 1)
-
-    yield from walk(0)
+    # depth-first: stack[m] runs through the values left for mask m
+    stack = [iter(range(1))]  # normalized
+    while stack:
+        m = len(stack) - 1
+        table[m] = next(stack[-1], -1)  # values are nonnegative: -1 is "none left"
+        if table[m] < 0:
+            stack.pop()
+        elif m == full:
+            yield SetFunction(ground, tuple(map(Fraction, table)))
+        else:
+            stack.append(iter(choices(m + 1)))

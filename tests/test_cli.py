@@ -157,6 +157,13 @@ def test_expand_requires_mode(corpus, capsys):
     assert code == 2 and "mode" in err
 
 
+def test_expand_takes_one_of_mode_and_verify(corpus, capsys):
+    code, out, err = run(capsys, "expand", corpus["bell"], "--mode", "quantoid",
+                         "--verify-lemma52")
+    assert code == 2 and out == ""
+    assert re.fullmatch(r"\w+: [^\n]*mode[^\n]*\n", err)
+
+
 def test_expand_cap_from_environment(corpus, capsys):
     # singletons 6, 6, 6 expand to 18 elements, past the 16-element limit
     code, _, err = run(capsys, "expand", corpus["modular666"], "--mode", "matroid")
@@ -229,6 +236,26 @@ def test_out_of_range_number_exit_two(tmp_path, capsys, name):
     path = tmp_path / "input.json"
     path.write_text(text)
     code, out, err = run(capsys, *command, str(path))
+    assert code == 2 and out == ""
+    assert re.fullmatch(r"\w+: [^\n]*\n", err) and err.startswith(f"{error}: ")
+
+
+PAST_DIGIT_LIMIT = {  # name: (command, every nonempty subset's value, error)
+    # the singleton sum of hat gives 4,301 digits on output
+    "hat-output": ("hat", "9" * 4300, "ValueTooLarge"),
+    # the reader stops these before Fraction builds 10**exponent
+    "dual-input": ("dual", "1e5000", "MalformedRational"),
+    "check-1e999999999": ("check", "1e999999999", "MalformedRational"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAST_DIGIT_LIMIT))
+def test_exact_value_past_the_digit_limit_exit_two(tmp_path, capsys, name):
+    command, value, error = PAST_DIGIT_LIMIT[name]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"ground_set": ["1", "2"],
+                                "values": {"": "0", "1": value, "2": value, "1,2": value}}))
+    code, out, err = run(capsys, command, str(path))
     assert code == 2 and out == ""
     assert re.fullmatch(r"\w+: [^\n]*\n", err) and err.startswith(f"{error}: ")
 

@@ -40,3 +40,17 @@ def test_only_setfn_splits_a_table():
              and node.func.attr == "reshape"
              and [ast.unparse(x) for x in node.args[:2]] == ["-1", "2"]]
     assert len(SOURCES) >= 10 and found == []
+
+
+def test_exact_modules_do_not_recurse():
+    # a recursion per mask or per subset would run 2^16 frames deep on the
+    # largest ground set.  entropic's Shannon walk may recurse: its depth is
+    # one frame per party, n <= 16, and it keeps memory under twice the table
+    exact = {"setfn.py", "sharing.py", "expansion.py", "duality.py", "correspondence.py"}
+    found = [f"{path.name}:{fn.name}"
+             for path in SOURCES if path.name in exact
+             for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+             if isinstance(fn, ast.FunctionDef)
+             and any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                     and node.func.id == fn.name for node in ast.walk(fn))]
+    assert len(SOURCES) >= 10 and found == []

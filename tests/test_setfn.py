@@ -233,6 +233,18 @@ def test_enumerate_matches_brute_force(kind, n, cap):
     assert got == _brute_force(kind, n, cap)  # same set, same lexicographic order
 
 
+@pytest.mark.parametrize("kind", ["polymatroid", "polyquantoid"])
+@pytest.mark.parametrize("n", range(10, 17))
+def test_enumerate_cap_zero_up_to_the_ground_set_limit(kind, n):
+    # the walk is as deep as the table is long, 2^n masks
+    assert [f.values for f in enumerate_rank_functions(kind, n, 0)] == [zero_fn(n).values]
+
+
+def test_enumerate_is_lazy():
+    first = next(enumerate_rank_functions("polymatroid", 16, 1))
+    assert first.values == zero_fn(16).values
+
+
 def test_enumerate_output_passes_classify():
     for kind, flag in [("polymatroid", "polymatroid"), ("polyquantoid", "polyquantoid")]:
         for f in enumerate_rank_functions(kind, 3, 2):
