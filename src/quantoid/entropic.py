@@ -28,7 +28,7 @@ from .errors import (
     NotNormalized,
     SnapFailed,
 )
-from .setfn import GroundSet, SetFunction, _increments, _two_point_gains
+from .setfn import GroundSet, SetFunction, _increments, _show, _two_point_gains
 
 DEFAULT_TOL = 1e-9
 
@@ -221,7 +221,7 @@ def snap_to_rational(f: ApproxSetFunction, max_denominator: int) -> SetFunction:
     residual and its subset.
     """
     if max_denominator < 1:
-        raise SnapFailed(f"max_denominator {max_denominator} is not at least 1")
+        raise SnapFailed(f"max_denominator {_show(max_denominator)} is not at least 1")
     out = []
     off = []  # (mask, residual) of each value farther than tol from its target
     for mask, v in enumerate(f.values):

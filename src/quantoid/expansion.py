@@ -64,6 +64,7 @@ from .setfn import (
     _from_scaled,
     _halves,
     _modular,
+    _show,
     classify,
     submasks,
 )
@@ -161,16 +162,6 @@ def _count_table(a: np.ndarray, sizes: Sequence[int], weight: int,
     return a
 
 
-def _expanded_fn(f: SetFunction, bmap: BlockMap, weight: int,
-                 symmetric: bool) -> SetFunction:
-    sizes = [len(block) for block in bmap.blocks]
-    table = _count_table(f._scaled_table[0], sizes, weight, symmetric)
-    # each copy in block i adds the place value of digit i to the index
-    index = _modular([math.prod(t + 1 for t in sizes[:i])
-                      for i, s in enumerate(sizes) for _ in range(s)], np.int64)
-    return _from_scaled(bmap.expanded, table[index], Fraction(1))
-
-
 def _require_integer(f: SetFunction, kind: str):
     cls = classify(f)
     if kind == MATROID_EXPANSION and not (cls.polymatroid and cls.integer):
@@ -183,25 +174,35 @@ def _block_sizes(f: SetFunction) -> list:
     sizes = [int(f.values[1 << i]) for i in range(f.n)]
     total = sum(sizes)
     if total > MAX_GROUND_SIZE:
-        raise ExpansionTooLarge(f"{total} expanded elements (maximum {MAX_GROUND_SIZE})")
+        raise ExpansionTooLarge(f"{_show(total)} expanded elements (maximum {MAX_GROUND_SIZE})")
     return sizes
 
 
+def _expand(f: SetFunction, sizes: list, kind: str) -> Expansion:
+    """The `kind` expansion of f with blocks of the given sizes.  The kind
+    fixes the costs: a 2-factor's blocks are pairs, each costing 2, and only
+    a quantoid expansion also charges the copies of J that K misses."""
+    bmap = BlockMap.from_sizes(f.ground, sizes)
+    table = _count_table(f._scaled_table[0], sizes, 2 if kind == TWO_FACTOR else 1,
+                         kind == QUANTOID_EXPANSION)
+    # each copy in block i adds the place value of digit i to the index
+    index = _modular([math.prod(t + 1 for t in sizes[:i])
+                      for i, s in enumerate(sizes) for _ in range(s)], np.int64)
+    return Expansion(bmap, _from_scaled(bmap.expanded, table[index], Fraction(1)), kind)
+
+
 def _expansion(f: SetFunction, kind: str) -> Expansion:
-    bmap = BlockMap.from_sizes(f.ground, _block_sizes(f))
-    fn = _expanded_fn(f, bmap, 1, symmetric=kind == QUANTOID_EXPANSION)
-    return Expansion(map=bmap, expanded_fn=fn, kind=kind)
+    _require_integer(f, kind)
+    return _expand(f, _block_sizes(f), kind)
 
 
 def free_expand_polymatroid(h: SetFunction) -> Expansion:
     """Free expansion of an integer polymatroid; the result is a matroid."""
-    _require_integer(h, MATROID_EXPANSION)
     return _expansion(h, MATROID_EXPANSION)
 
 
 def free_expand_polyquantoid(e: SetFunction) -> Expansion:
     """Free expansion of an integer polyquantoid; the result is a quantoid."""
-    _require_integer(e, QUANTOID_EXPANSION)
     return _expansion(e, QUANTOID_EXPANSION)
 
 
@@ -222,9 +223,7 @@ def two_factor(h: SetFunction) -> Expansion:
 
 def _two_factor(h: SetFunction) -> Expansion:
     # block k of source element i stands for copies i.(2k) and i.(2k+1)
-    bmap = BlockMap.from_sizes(h.ground, [int(h.values[1 << i]) // 2 for i in range(h.n)])
-    fn = _expanded_fn(h, bmap, 2, symmetric=False)
-    return Expansion(map=bmap, expanded_fn=fn, kind=TWO_FACTOR)
+    return _expand(h, [int(h.values[1 << i]) // 2 for i in range(h.n)], TWO_FACTOR)
 
 
 def expansion_correspondence_holds(e: SetFunction) -> bool:
@@ -237,7 +236,6 @@ def expansion_correspondence_holds(e: SetFunction) -> bool:
     twice the size of the direct one, is never built: the check is limited
     only by the direct expansion.
     """
-    _require_integer(e, QUANTOID_EXPANSION)
     direct = _expansion(e, QUANTOID_EXPANSION)
     # the partner is an integer polymatroid with even singletons 2 e(i)
     factored = _two_factor(to_polymatroid(e))

@@ -81,6 +81,15 @@ def as_rational(value) -> Fraction:
     raise MalformedRational(repr(value))
 
 
+def _show(x) -> str:
+    """str(x) for an error message; where that text would pass int's str
+    limit, a note naming the limit in its place."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"<a value past the {sys.get_int_max_str_digits()}-digit limit>"
+
+
 @dataclass(frozen=True)
 class GroundSet:
     """Ordered, distinct element labels; label i corresponds to subset-mask bit i."""
@@ -399,7 +408,7 @@ def scale(f: SetFunction, t) -> SetFunction:
     """Multiply every value by the positive rational t, exactly."""
     t = as_rational(t)
     if t <= 0:
-        raise NonpositiveScale(str(t))
+        raise NonpositiveScale(_show(t))
     a, den = f._scaled_table
     return _from_scaled(f.ground, a, t / den)
 

@@ -33,7 +33,16 @@ import numpy as np
 
 from .correspondence import to_polymatroid
 from .errors import NotAMatroid, NotIdeal, NotOfKind
-from .setfn import POLYMATROID, POLYQUANTOID, SetFunction, _halves, _increments, classify, scale
+from .setfn import (
+    POLYMATROID,
+    POLYQUANTOID,
+    SetFunction,
+    _halves,
+    _increments,
+    _show,
+    classify,
+    scale,
+)
 
 
 @dataclass(frozen=True)
@@ -106,22 +115,23 @@ def _sharing_flags(f: SetFunction, dealer_bit: int, quantum: bool) -> _Flags:
 
 
 def _not_ideal_reason(f: SetFunction, dealer_idx: int, flags: _Flags) -> str:
+    """The first clause of ideal that fails; flags.ideal is false, so one of
+    the three returns."""
     g = f.ground
     dealer = g.labels[dealer_idx]
     dbit = 1 << dealer_idx
     secret = f.values[dbit]
     if not flags.perfect:
         m = flags.imperfect
-        return (f"dealer {dealer!r} is not perfect: "
-                f"increment {f.values[m | dbit] - f.values[m]} on coalition {{{g.key_of(m)}}}")
+        return (f"dealer {dealer!r} is not perfect: increment "
+                f"{_show(f.values[m | dbit] - f.values[m])} on coalition {{{g.key_of(m)}}}")
     for i in range(f.n):
         if i != dealer_idx and i not in flags.essential:
             return f"element {g.labels[i]!r} is not essential for dealer {dealer!r}"
     for i in range(f.n):
         if i != dealer_idx and f.values[1 << i] != secret:
-            return (f"element {g.labels[i]!r} has value {f.values[1 << i]}, "
-                    f"dealer {dealer!r} has {secret}")
-    return "not ideal"
+            return (f"element {g.labels[i]!r} has value {_show(f.values[1 << i])}, "
+                    f"dealer {dealer!r} has {_show(secret)}")
 
 
 def _members_of(f: SetFunction, masks) -> tuple:
@@ -166,16 +176,20 @@ def analyze_sharing(f: SetFunction, dealer, kind: str = POLYMATROID) -> SharingR
     )
 
 
+def _checked_extraction(f: SetFunction, dealer, kind: str) -> tuple:
+    idx, flags = _validated_flags(f, dealer, kind)
+    if not flags.ideal:
+        raise NotIdeal(_not_ideal_reason(f, idx, flags))
+    return _extraction(f, idx, kind == POLYQUANTOID)
+
+
 def extract_matroid(h: SetFunction, dealer) -> tuple:
     """Write a polymatroid with an ideal dealer as t * (matroid rank), t > 0.
 
     Returns (t, rank).  When h(dealer) > 0, t = h(dealer); when
     h(dealer) = 0 the whole function is zero and t = 1 is chosen.
     """
-    idx, flags = _validated_flags(h, dealer, POLYMATROID)
-    if not flags.ideal:
-        raise NotIdeal(_not_ideal_reason(h, idx, flags))
-    return _extraction(h, idx, quantum=False)
+    return _checked_extraction(h, dealer, POLYMATROID)
 
 
 def extract_selfdual_matroid(e: SetFunction, dealer) -> tuple:
@@ -184,13 +198,13 @@ def extract_selfdual_matroid(e: SetFunction, dealer) -> tuple:
     The rank function is a tight selfdual matroid, obtained by extracting
     from the to_polymatroid partner.  Returns (t, rank).
     """
-    idx, flags = _validated_flags(e, dealer, POLYQUANTOID)
-    if not flags.ideal:
-        raise NotIdeal(_not_ideal_reason(e, idx, flags))
-    return _extraction(e, idx, quantum=True)
+    return _checked_extraction(e, dealer, POLYQUANTOID)
 
 
-def _circuit_masks(r: SetFunction) -> np.ndarray:
+def _matroid_circuits(r: SetFunction) -> np.ndarray:
+    """The circuit masks of r, ascending; NotAMatroid unless r is a matroid."""
+    if not classify(r).matroid:
+        raise NotAMatroid(f"values on {r.labels}")
     # circuits are the minimal dependent sets, those of rank below their size
     below, smaller = _one_smaller(r.n)
     dependent = r._scaled_table[0] < smaller.sum(axis=1)
@@ -205,21 +219,17 @@ def matroid_structure(r: SetFunction) -> MatroidStructure:
     iff it is not a loop; with two or more elements, connected means every
     pair of distinct elements lies in a common circuit.
     """
-    if not classify(r).matroid:
-        raise NotAMatroid(f"values on {r.labels}")
+    circuits = _matroid_circuits(r)
     v = r.values
     n = r.n
     full = r.full_mask
-
-    circuits = _circuit_masks(r)
     loops = tuple(i for i in range(n) if v[1 << i] == 0)
     coloops = tuple(i for i in range(n) if v[full] - v[full ^ (1 << i)] == 1)
 
-    if n == 0:
-        connected = True
-    elif n == 1:
+    if n == 1:
         connected = not loops
-    else:  # every pair lies in a common circuit: the circuits through i cover N
+    else:  # every pair lies in a common circuit: the circuits through i cover N,
+        # which holds vacuously for the empty matroid
         connected = all(np.bitwise_or.reduce(circuits[circuits >> i & 1 == 1], initial=0)
                         == full for i in range(n))
 
@@ -237,13 +247,11 @@ def access_from_circuits(r: SetFunction, dealer) -> tuple:
     """Coalitions I (subsets of N minus the dealer) such that some circuit
     through the dealer fits inside dealer+I.  For matroids this is exactly
     the authorized family of the dealer."""
-    if not classify(r).matroid:
-        raise NotAMatroid(f"values on {r.labels}")
+    circuits = _matroid_circuits(r)
     dbit = 1 << r.ground.index_of(dealer)
     # the upward closure of the circuits through the dealer, one OR per
     # element, read at dealer+I for every coalition I
     closure = np.zeros(1 << r.n, dtype=bool)
-    circuits = _circuit_masks(r)
     closure[circuits[circuits & dbit != 0]] = True
     for without, with_i in _increments(closure, r.n):
         with_i |= without

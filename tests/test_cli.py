@@ -370,3 +370,15 @@ def test_outputs_are_byte_identical_across_runs(corpus, capsys, argv):
     second = run(capsys, *resolved)
     assert first == second
     assert first[0] == 0 and first[1]
+
+
+def test_expansion_size_past_the_digit_limit_exit_two(tmp_path, capsys):
+    # each singleton is in range, their 4,301-digit sum is not
+    big = "9" * 4300
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"ground_set": ["1", "2"],
+                                "values": {"": "0", "1": big, "2": big, "1,2": big}}))
+    code, out, err = run(capsys, "expand", str(path), "--mode", "matroid")
+    assert code == 2 and out == ""
+    assert err == "ExpansionTooLarge: <a value past the 4300-digit limit> expanded elements " \
+                  "(maximum 16)\n"

@@ -54,3 +54,35 @@ def test_exact_modules_do_not_recurse():
              and any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                      and node.func.id == fn.name for node in ast.walk(fn))]
     assert len(SOURCES) >= 10 and found == []
+
+
+def _call_of(node) -> str | None:
+    return ast.unparse(node.func) if isinstance(node, ast.Call) else None
+
+
+# written once each: every expansion and 2-factor goes through
+# expansion._expand, both extractions through sharing._checked_extraction,
+# and every matroid check through sharing._matroid_circuits
+ONCE = {
+    "expansion.py": {
+        "Expansion(...)": lambda node: _call_of(node) == "Expansion",
+        "BlockMap.from_sizes(...)": lambda node: _call_of(node) == "BlockMap.from_sizes",
+    },
+    "sharing.py": {
+        "classify(...).matroid": lambda node: isinstance(node, ast.Attribute)
+        and node.attr == "matroid" and _call_of(node.value) == "classify",
+        "raise NotAMatroid": lambda node: isinstance(node, ast.Raise)
+        and _call_of(node.exc) == "NotAMatroid",
+        "raise NotIdeal": lambda node: isinstance(node, ast.Raise)
+        and _call_of(node.exc) == "NotIdeal",
+    },
+}
+
+
+def test_each_job_has_one_private_path():
+    lines = {f"{path.name}: {what}": [node.lineno for node in ast.walk(tree) if matches(node)]
+             for path in SOURCES if path.name in ONCE
+             for tree in [ast.parse(path.read_text(encoding="utf-8"), str(path))]
+             for what, matches in ONCE[path.name].items()}
+    assert len(lines) == 5
+    assert {what: found for what, found in lines.items() if len(found) != 1} == {}

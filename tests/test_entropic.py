@@ -521,3 +521,15 @@ def test_snap_failure_names_first_value_and_worst_residual():
     assert message.startswith("{1}: 0.1 is not within 1e-09 of a rational with denominator <= 1")
     assert message.endswith("worst residual 0.4 at {2}")
     assert "\n" not in message
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_approx_set_function_needs_one_value_per_subset(count):
+    with pytest.raises(DimensionMismatch, match=f"expected 2 values, got {count}"):
+        ApproxSetFunction(GroundSet(("1",)), (0.0,) * count)
+
+
+def test_snap_message_obeys_the_digit_limit():
+    f = ApproxSetFunction(GroundSet(("1",)), (0.0, 0.5))
+    with pytest.raises(SnapFailed, match="^max_denominator <a value past the 4300-digit"):
+        snap_to_rational(f, -10**4400)

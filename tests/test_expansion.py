@@ -298,3 +298,11 @@ def test_two_factor_builds_no_copy_level_expansion(monkeypatch):
     assert calls == []
     assert expansion_correspondence_holds(e22())
     assert calls == [expansion.QUANTOID_EXPANSION]
+
+
+@pytest.mark.parametrize("expand", [free_expand_polymatroid, two_factor])
+def test_expansion_size_message_obeys_the_digit_limit(expand):
+    # two even 4,300-digit singletons add up to 4,301 digits, past int's str limit
+    big = 10**4300 - 2
+    with pytest.raises(ExpansionTooLarge, match="^<a value past the 4300-digit limit> expanded"):
+        expand(from_table(["1", "2"], [0, big, big, big]))

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from quantoid.errors import (
     DuplicateLabel,
     GroundSetTooLarge,
+    InvalidLabel,
     MalformedRational,
     MissingSubset,
     NonpositiveScale,
@@ -268,3 +269,41 @@ def test_classification_implications_on_corpus():
 def test_zero_function_is_everything():
     c = classify(zero_fn(2))
     assert c.polymatroid and c.polyquantoid and c.matroid and c.quantoid
+
+
+# -- error paths ---------------------------------------------------------------
+
+@pytest.mark.parametrize("label", ["", "1,2", True], ids=["empty", "comma", "bool"])
+def test_ground_set_rejects_invalid_labels(label):
+    with pytest.raises(InvalidLabel):
+        GroundSet(("1", label))
+
+
+@pytest.mark.parametrize("count", [0, 1, 3, 5])
+def test_table_of_the_wrong_length_is_rejected(count):
+    values = [0] * count
+    with pytest.raises(MissingSubset):
+        from_table(["1", "2"], values)
+    with pytest.raises(MissingSubset):
+        SetFunction(GroundSet(("1", "2")), tuple(map(Fraction, values)))
+
+
+def test_mask_of_key_rejects_a_repeated_member():
+    g = GroundSet(("1", "2"))
+    assert g.mask_of_key("2,1") == 3
+    with pytest.raises(DuplicateLabel):
+        g.mask_of_key("1,2,1")
+
+
+@pytest.mark.parametrize("n, cap", [(-1, 1), (2, -1)])
+def test_enumerate_rejects_negative_sizes(n, cap):
+    with pytest.raises(ValueError, match="nonnegative"):
+        next(enumerate_rank_functions("polymatroid", n, cap))
+
+
+def test_scale_message_obeys_the_digit_limit():
+    # str of a 4,401-digit integer passes int's str limit
+    with pytest.raises(NonpositiveScale, match="digit limit"):
+        scale(from_table(["1"], [0, 1]), -Fraction(10**4400))
+    with pytest.raises(NonpositiveScale, match="^-3/2$"):
+        scale(from_table(["1"], [0, 1]), Fraction(-3, 2))

@@ -10,7 +10,7 @@ from quantoid.correspondence import to_polymatroid, to_polyquantoid
 from quantoid.duality import dual, is_selfdual, is_tight
 from quantoid.errors import NotAMatroid, NotIdeal, NotOfKind, UnknownElement
 from quantoid.expansion import expansion_correspondence_holds, free_expand_polymatroid
-from quantoid.setfn import classify, enumerate_rank_functions, from_table, scale
+from quantoid.setfn import build, classify, enumerate_rank_functions, from_table, scale
 from quantoid.sharing import (
     access_from_circuits,
     analyze_sharing,
@@ -367,3 +367,19 @@ def test_each_function_is_scaled_once(monkeypatch):
     assert all(analyze_sharing(e, dealer, "polyquantoid").ideal for dealer in e.labels)
     assert sum(v is e.values for v in calls) == 1
     assert len({id(v) for v in calls}) == len(calls) == 1 + e.n
+
+
+def test_access_rejects_non_matroid_before_the_dealer():
+    with pytest.raises(NotAMatroid):
+        access_from_circuits(scale(uniform(2, 4), 2), "1")
+    with pytest.raises(NotAMatroid):  # the matroid check runs first
+        access_from_circuits(scale(uniform(2, 4), 2), "no such element")
+
+
+def test_not_ideal_message_obeys_the_digit_limit():
+    # the increment on {1} is (r + 1)/r - 1/p, whose denominator p * r has
+    # about 8,600 digits, past int's str limit of 4,300
+    p, r = 10**4299 + 1, 10**4299 + 7
+    f = build(["1", "2"], {"": "0", "1": f"1/{p}", "2": "1", "1,2": f"{r + 1}/{r}"})
+    with pytest.raises(NotIdeal, match="is not perfect: increment <a value past the 4300-digit"):
+        extract_matroid(f, "2")
