@@ -58,10 +58,11 @@ def as_rational(value) -> Fraction:
     Other types, numpy scalars among them, are rejected.  Floats are not
     exact and must be snapped explicitly (see quantoid.entropic.snap_to_rational).
     Booleans are rejected too, although Python counts them as ints.
-    Integers in a string may not pass int's str limit,
-    sys.get_int_max_str_digits(), and neither may a mantissa's digits plus
-    its exponent's magnitude: "1e5000" is rejected before Fraction builds
-    10**5000.
+    A string may not pass int's str limit, sys.get_int_max_str_digits():
+    the digits on the longer side of "/", plus the exponent's magnitude,
+    must stay within it.  So "1e5000" is rejected before Fraction builds
+    10**5000, and "0." followed by 4300 ones (denominator 10**4300) is
+    rejected at the default limit of 4300.
     """
     if isinstance(value, Fraction):
         return value
@@ -71,8 +72,11 @@ def as_rational(value) -> Fraction:
         mantissa, e, exponent = value.lower().partition("e")
         limit = sys.get_int_max_str_digits()
         try:
-            if e and limit and sum(map(str.isdigit, mantissa)) + abs(int(exponent)) > limit:
-                raise ValueTooLarge(f"{value!r} (past the {limit}-digit limit)")
+            # a string no longer than the limit, with no exponent, cannot pass it
+            if limit and (e or len(value) > limit):
+                digits = max(sum(map(str.isdigit, side)) for side in mantissa.split("/"))
+                if digits + abs(int(exponent or 0)) > limit:
+                    raise ValueTooLarge(f"{value!r} (past the {limit}-digit limit)")
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise MalformedRational(repr(value)) from exc
@@ -133,9 +137,14 @@ class GroundSet:
             raise UnknownElement(str(label)) from None
 
     def mask_of(self, members: Iterable) -> int:
+        """Mask of the subset with these member labels, given in any order
+        but each at most once."""
         mask = 0
         for label in members:
-            mask |= 1 << self.index_of(label)
+            bit = 1 << self.index_of(label)
+            if mask & bit:
+                raise DuplicateLabel(str(label))
+            mask |= bit
         return mask
 
     def members(self, mask: int) -> tuple[str, ...]:
@@ -161,15 +170,7 @@ class GroundSet:
 
     def mask_of_key(self, key: str) -> int:
         """Inverse of key_of.  Accepts members in any order but rejects repeats."""
-        if key == "":
-            return 0
-        mask = 0
-        for part in key.split(","):
-            bit = 1 << self.index_of(part)
-            if mask & bit:
-                raise DuplicateLabel(part)
-            mask |= bit
-        return mask
+        return self.mask_of(key.split(",")) if key else 0
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Acceptance suite.
 
 Eight criteria, each a test that prints one PASS/FAIL line (visible with
-`pytest -s tests/test_acceptance.py`).  Exact criteria compare Fractions
-with tolerance zero; the entropic criterion uses 1e-9 throughout.
+`PYTHONPATH=src pytest -s tests/test_acceptance.py`).  Exact criteria
+compare Fractions with tolerance zero; the entropic criterion uses 1e-9
+throughout.
 """
 
 import json

@@ -260,6 +260,15 @@ def test_exact_value_past_the_digit_limit_exit_two(tmp_path, capsys, name):
     assert re.fullmatch(r"\w+: [^\n]*\n", err) and err.startswith(f"{error}: ")
 
 
+def test_long_value_names_the_digit_limit(tmp_path, capsys):
+    # no exponent: the reader counts the digits on each side of "/"
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"ground_set": ["1"], "values": {"": "0", "1": "1/" + "3" * 4301}}))
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2 and out == ""
+    assert re.fullmatch(r"MalformedRational: '1': [^\n]* \(past the 4300-digit limit\)\n", err)
+
+
 def test_boolean_value_exit_two(tmp_path, capsys):
     path = tmp_path / "bool.json"
     path.write_text(json.dumps({"ground_set": ["1"], "values": {"": "0", "1": True}}))

@@ -86,3 +86,21 @@ def test_each_job_has_one_private_path():
              for what, matches in ONCE[path.name].items()}
     assert len(lines) == 5
     assert {what: found for what, found in lines.items() if len(found) != 1} == {}
+
+
+def test_one_loop_reads_member_labels():
+    # GroundSet.mask_of is the one loop from member labels to a mask, so
+    # value, mask_of_key, adapted_sets, BlockMap and reduced_spectrum all
+    # reject an unknown or repeated label alike
+    tree = ast.parse((Path(quantoid.__file__).parent / "setfn.py").read_text(encoding="utf-8"))
+    functions = [(f"{cls.name}.{fn.name}", fn)
+                 for cls in tree.body if isinstance(cls, ast.ClassDef)
+                 for fn in cls.body if isinstance(fn, ast.FunctionDef)]
+    functions += [(fn.name, fn) for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    found = [name for name, fn in functions
+             if any(isinstance(loop, loops)
+                    and any(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                            and node.func.attr == "index_of" for node in ast.walk(loop))
+                    for loop in ast.walk(fn))]
+    assert found == ["GroundSet.mask_of"]

@@ -20,6 +20,7 @@ from quantoid.entropic import (
 )
 from quantoid.errors import (
     DimensionMismatch,
+    DuplicateLabel,
     InvalidDistribution,
     NotNormalized,
     SnapFailed,
@@ -139,6 +140,11 @@ def test_reduced_spectrum_contract():
     pair = reduced_spectrum(ghz_state(), ["1", "2"])
     assert sum(pair) == pytest.approx(1.0, abs=TOL)
     assert all(lam >= -TOL for lam in pair)
+
+
+def test_reduced_spectrum_rejects_a_repeated_label():
+    with pytest.raises(DuplicateLabel):
+        reduced_spectrum(bell_state(), ["1", "1"])
 
 
 def test_state_validation():

@@ -8,6 +8,7 @@ from quantoid import expansion
 from quantoid.correspondence import to_polymatroid
 from quantoid.duality import is_selfdual, is_tight
 from quantoid.errors import (
+    DuplicateLabel,
     ExpansionTooLarge,
     NotIntegerPolymatroid,
     NotIntegerPolyquantoid,
@@ -125,6 +126,12 @@ def test_adapted_sets_partial_block():
 def test_adapted_sets_full_block():
     bmap = free_expand_polymatroid(doubled_u12()).map
     assert adapted_sets(bmap, ["1.0", "1.1"]) == (("1",),)
+
+
+def test_adapted_sets_rejects_a_repeated_label():
+    bmap = free_expand_polymatroid(doubled_u12()).map
+    with pytest.raises(DuplicateLabel, match=r"^1\.0$"):
+        adapted_sets(bmap, ["1.0", "1.0"])
 
 
 def test_adapted_set_of_block_image_is_unique():

@@ -1,6 +1,7 @@
 """Construction, classification, scaling, and bounded enumeration."""
 
 import itertools
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -14,11 +15,14 @@ from quantoid.errors import (
     MalformedRational,
     MissingSubset,
     NonpositiveScale,
+    UnknownElement,
     UnknownSubsetKey,
+    ValueTooLarge,
 )
 from quantoid.setfn import (
     GroundSet,
     SetFunction,
+    as_rational,
     build,
     classify,
     enumerate_rank_functions,
@@ -307,3 +311,55 @@ def test_scale_message_obeys_the_digit_limit():
         scale(from_table(["1"], [0, 1]), -Fraction(10**4400))
     with pytest.raises(NonpositiveScale, match="^-3/2$"):
         scale(from_table(["1"], [0, 1]), Fraction(-3, 2))
+
+
+# -- member labels and the digit limit -------------------------------------------
+
+def test_mask_of_rejects_a_repeated_label():
+    g = GroundSet(("1", "2"))
+    assert g.mask_of(["2", "1"]) == 3
+    with pytest.raises(DuplicateLabel, match="^2$"):
+        g.mask_of(["2", "2"])
+    with pytest.raises(UnknownElement, match="^3$"):
+        g.mask_of(["1", "3"])
+
+
+def test_value_rejects_a_repeated_label():
+    f = from_table(["1", "2"], [0, 1, 2, 3])
+    assert f.value(["2", "1"]) == 3
+    with pytest.raises(DuplicateLabel):
+        f.value(["1", "1"])
+
+
+def test_getitem_and_table_read_the_values():
+    f = from_table(["a", "b"], [0, 1, 2, "1/2"])
+    assert [f[m] for m in f.ground.subsets()] == [0, 1, 2, Fraction(1, 2)]
+    assert f.table() == {"": 0, "a": 1, "b": 2, "a,b": Fraction(1, 2)}
+    assert list(f.table()) == f.ground.subset_keys()
+    assert build(f.labels, f.table()) == f
+
+
+@pytest.mark.parametrize("text", ["1" * 4301, "1/" + "3" * 4301, "3" * 4301 + "/1",
+                                  "0." + "1" * 4300, "1e4300", "1e-5000"],
+                         ids=["integer", "denominator", "numerator", "decimal",
+                              "exponent", "negative-exponent"])
+def test_as_rational_rejects_either_side_past_the_digit_limit(text):
+    # the digits on the longer side of "/", plus the exponent's magnitude
+    with pytest.raises(ValueTooLarge, match=r"\(past the 4300-digit limit\)$"):
+        as_rational(text)
+
+
+@pytest.mark.parametrize("text", ["1/" + "3" * 4300, "9" * 4300, " 1e4299 ", "0." + "1" * 4299],
+                         ids=["denominator", "integer", "exponent", "decimal"])
+def test_as_rational_accepts_values_at_the_digit_limit(text):
+    assert as_rational(text) == Fraction(text.strip())
+
+
+def test_as_rational_digit_limit_of_zero_is_off():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert as_rational("1/" + "3" * 4301) == Fraction(1, int("3" * 4301))
+        assert as_rational("1e5000") == 10 ** 5000
+    finally:
+        sys.set_int_max_str_digits(old)
