@@ -143,8 +143,6 @@ def _sizes_per_party(raw, n: int, error: type, message: str) -> tuple:
 def _entropy_of(probabilities, base: float) -> float:
     lam = np.asarray(probabilities, dtype=float)
     lam = lam[lam > 0]
-    if lam.size == 0:
-        return 0.0
     return float(-(lam * np.log(lam)).sum() / math.log(base)) + 0.0  # avoid -0.0
 
 

@@ -58,10 +58,6 @@ class UnknownElement(QuantoidError):
 class NotOfKind(QuantoidError):
     """The input does not satisfy the axioms of the requested kind."""
 
-    def __init__(self, kind: str, detail: str = ""):
-        self.kind = kind
-        super().__init__(f"not a {kind}" + (f": {detail}" if detail else ""))
-
 
 class NotAMatroid(QuantoidError):
     """The input rank function fails the matroid axioms."""

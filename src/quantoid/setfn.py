@@ -138,7 +138,10 @@ class GroundSet:
 
     def mask_of(self, members: Iterable) -> int:
         """Mask of the subset with these member labels, given in any order
-        but each at most once."""
+        but each at most once.  A bare string is a TypeError, not a list of
+        one-character labels."""
+        if isinstance(members, str):
+            raise TypeError(f"members {members!r} is a string, not a list of labels")
         mask = 0
         for label in members:
             bit = 1 << self.index_of(label)

@@ -144,7 +144,7 @@ def _validated_flags(f: SetFunction, dealer, kind: str) -> tuple:
         raise ValueError(f"unknown kind {kind!r}")
     cls = classify(f)
     if not (cls.polymatroid if kind == POLYMATROID else cls.polyquantoid):
-        raise NotOfKind(kind)
+        raise NotOfKind(f"not a {kind}")
     idx = f.ground.index_of(dealer)
     return idx, _sharing_flags(f, 1 << idx, kind == POLYQUANTOID)
 
@@ -153,10 +153,7 @@ def _extraction(f: SetFunction, idx: int, quantum: bool) -> tuple:
     # f is validated and dealer idx is ideal, so the polymatroid h (f, or the
     # to_polymatroid partner of a polyquantoid) is t times a matroid rank
     h = to_polymatroid(f) if quantum else f
-    t = h.values[1 << idx]
-    if t == 0:
-        # all singletons equal the dealer's 0, so the polymatroid h is 0
-        return Fraction(1), h
+    t = h.values[1 << idx] or Fraction(1)  # a zero dealer makes h zero; take t = 1
     return t, scale(h, 1 / t)
 
 

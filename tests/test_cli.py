@@ -120,6 +120,14 @@ def test_share_unknown_dealer_exit_two(corpus, capsys):
     assert err.startswith("UnknownElement")
 
 
+@pytest.mark.parametrize("kind", ["polymatroid", "polyquantoid"])
+def test_share_wrong_kind_exit_two(tmp_path, capsys, kind):
+    path = tmp_path / "neither.json"  # not nondecreasing, not complementary
+    path.write_text(json.dumps(documents.set_function_to_doc(from_table(["1", "2"], [0, 1, 0, 0]))))
+    code, out, err = run(capsys, "share", str(path), "--dealer", "1", "--kind", kind)
+    assert (code, out, err) == (2, "", f"NotOfKind: not a {kind}\n")
+
+
 def test_expand_quantoid_mode(corpus, capsys):
     code, out, _ = run(capsys, "expand", corpus["e22"], "--mode", "quantoid")
     assert code == 0

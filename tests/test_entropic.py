@@ -11,6 +11,7 @@ from quantoid.entropic import (
     ApproxSetFunction,
     JointDistribution,
     PureState,
+    _entropy_of,
     is_approx_polymatroid,
     is_approx_polyquantoid,
     reduced_spectrum,
@@ -145,6 +146,19 @@ def test_reduced_spectrum_contract():
 def test_reduced_spectrum_rejects_a_repeated_label():
     with pytest.raises(DuplicateLabel):
         reduced_spectrum(bell_state(), ["1", "1"])
+
+
+def test_reduced_spectrum_rejects_a_bare_string():
+    state = bell_state()
+    assert reduced_spectrum(state, ["1"]) == pytest.approx((0.5, 0.5))
+    with pytest.raises(TypeError, match="'12'"):
+        reduced_spectrum(state, "12")
+
+
+@pytest.mark.parametrize("probabilities", [[], [0.0, 0.0]], ids=["empty", "zeros"])
+def test_entropy_of_no_mass_is_positive_zero(probabilities):
+    h = _entropy_of(np.array(probabilities), 2.0)
+    assert h == 0.0 and math.copysign(1.0, h) == 1.0
 
 
 def test_state_validation():

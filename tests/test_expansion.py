@@ -134,6 +134,13 @@ def test_adapted_sets_rejects_a_repeated_label():
         adapted_sets(bmap, ["1.0", "1.0"])
 
 
+def test_adapted_sets_rejects_a_bare_string():
+    bmap = free_expand_polymatroid(doubled_u12()).map
+    assert adapted_sets(bmap, ["1.0"]) == adapted_sets(bmap, bmap.expanded.mask_of(["1.0"]))
+    with pytest.raises(TypeError, match=r"'1\.0'"):
+        adapted_sets(bmap, "1.0")
+
+
 def test_adapted_set_of_block_image_is_unique():
     h = to_polymatroid(ghz3())
     exp = free_expand_polymatroid(h)

@@ -331,6 +331,20 @@ def test_value_rejects_a_repeated_label():
         f.value(["1", "1"])
 
 
+def test_mask_of_rejects_a_bare_string():
+    g = GroundSet(("12", "1", "2"))
+    assert g.mask_of(["12"]) == 1 and g.mask_of(("1", "2")) == 6
+    with pytest.raises(TypeError, match="'12'"):
+        g.mask_of("12")
+
+
+def test_value_rejects_a_bare_string():
+    f = from_table(["ab", "a", "b"], range(8))
+    assert f.value(["ab"]) == 1
+    with pytest.raises(TypeError, match="'ab'"):
+        f.value("ab")
+
+
 def test_getitem_and_table_read_the_values():
     f = from_table(["a", "b"], [0, 1, 2, "1/2"])
     assert [f[m] for m in f.ground.subsets()] == [0, 1, 2, Fraction(1, 2)]

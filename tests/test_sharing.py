@@ -76,6 +76,13 @@ def test_analyze_rejects_wrong_kind():
         analyze_sharing(bell(), "1", "quantoid")
 
 
+@pytest.mark.parametrize("f, kind", [(ghz3(), "polymatroid"), (uniform(2, 4), "polyquantoid")])
+def test_wrong_kind_message_names_the_kind(f, kind):
+    with pytest.raises(NotOfKind) as caught:
+        analyze_sharing(f, "1", kind)
+    assert str(caught.value) == f"not a {kind}"
+
+
 def test_analyze_unknown_dealer():
     with pytest.raises(UnknownElement):
         analyze_sharing(uniform(2, 4), "9")
@@ -91,6 +98,16 @@ def test_extract_scaled_u24():
 def test_extract_zero_polymatroid():
     t, rank = extract_matroid(zero_fn(2), "1")
     assert t == 1 and rank == zero_fn(2)
+
+
+@pytest.mark.parametrize("kind", ["polymatroid", "polyquantoid"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_zero_function_extracts_t_one_at_every_dealer(n, kind):
+    zero = zero_fn(n)
+    extract = extract_matroid if kind == "polymatroid" else extract_selfdual_matroid
+    for dealer in zero.labels:
+        for t, rank in (analyze_sharing(zero, dealer, kind).extraction, extract(zero, dealer)):
+            assert type(t) is Fraction and t == 1 and rank == zero
 
 
 def test_extract_free_matroid_fails():
