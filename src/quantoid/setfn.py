@@ -102,10 +102,13 @@ class GroundSet:
     _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for x in self.labels:
+        if isinstance(self.labels, str):
+            raise TypeError(f"labels {self.labels!r} is a string, not a list of labels")
+        labels = tuple(self.labels)
+        for x in labels:
             if isinstance(x, bool):
                 raise InvalidLabel(repr(x))
-        labels = tuple(str(x) for x in self.labels)
+        labels = tuple(map(str, labels))
         object.__setattr__(self, "labels", labels)
         if len(labels) > MAX_GROUND_SIZE:
             raise GroundSetTooLarge(f"{len(labels)} elements (maximum {MAX_GROUND_SIZE})")
@@ -197,6 +200,11 @@ class SetFunction:
         a.flags.writeable = False
         return a, den
 
+    @functools.cached_property
+    def _classification(self) -> Classification:
+        """_classify(self), computed on first use."""
+        return _classify(self)
+
     @property
     def n(self) -> int:
         return self.ground.n
@@ -225,17 +233,26 @@ def build(labels: Sequence, values: Mapping) -> SetFunction:
     """Build a SetFunction from labels and a complete subset-key -> rational table.
 
     Every one of the 2^n canonical keys must be present; floats are rejected.
+    The keys are read in mask order, and the first bad one is named.  Each
+    distinct value string is parsed once; a value of any other type (1, 1.0
+    and True compare equal) is read on its own, every time.
     """
-    ground = GroundSet(tuple(labels))
+    ground = GroundSet(labels)
     canonical = ground.subset_keys()
+    parsed: dict[str, Fraction] = {}
     table = []
     for key in canonical:
         if key not in values:
             raise MissingSubset(key)
+        value = values[key]
         try:
-            table.append(as_rational(values[key]))
+            if type(value) is not str:
+                x = as_rational(value)
+            elif (x := parsed.get(value)) is None:
+                x = parsed[value] = as_rational(value)
         except MalformedRational as exc:
             raise MalformedRational(f"{key!r}: {exc}") from None
+        table.append(x)
     if len(values) != len(canonical):
         extras = sorted(set(values) - set(canonical))
         raise UnknownSubsetKey(repr(extras[0]))
@@ -244,8 +261,7 @@ def build(labels: Sequence, values: Mapping) -> SetFunction:
 
 def from_table(labels: Sequence, values: Iterable) -> SetFunction:
     """Build a SetFunction from a value table already in subset-mask order."""
-    ground = GroundSet(tuple(labels))
-    return SetFunction(ground, tuple(values))
+    return SetFunction(GroundSet(labels), tuple(values))
 
 
 def submasks(mask: int) -> Iterator[int]:
@@ -369,6 +385,15 @@ class Classification:
 
 
 def classify(f: SetFunction) -> Classification:
+    """Every axiom flag of f, exactly.
+
+    Computed once per SetFunction object, on first use, and shared by every
+    later call on the same object; a Classification is frozen.
+    """
+    return f._classification
+
+
+def _classify(f: SetFunction) -> Classification:
     """Compute every axiom flag, exactly, on the integer-scaled table.
 
     The table is scaled by the lcm of its denominators (see the module

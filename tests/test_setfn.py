@@ -1,13 +1,17 @@
 """Construction, classification, scaling, and bounded enumeration."""
 
 import itertools
+import math
 import sys
 from fractions import Fraction
+
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from quantoid import setfn
 from quantoid.errors import (
     DuplicateLabel,
     GroundSetTooLarge,
@@ -30,7 +34,15 @@ from quantoid.setfn import (
     scale,
 )
 
-from helpers import bell, classify_exhaustive, ghz3, labels_for, uniform, zero_fn
+from helpers import (
+    bell,
+    classify_exhaustive,
+    ghz3,
+    labels_for,
+    random_rational_polymatroid,
+    uniform,
+    zero_fn,
+)
 
 
 # -- build -------------------------------------------------------------------
@@ -377,3 +389,114 @@ def test_as_rational_digit_limit_of_zero_is_off():
         assert as_rational("1e5000") == 10 ** 5000
     finally:
         sys.set_int_max_str_digits(old)
+
+
+# -- build reads each distinct value string once -------------------------------
+
+def _encoded(f, encoding, rng):
+    """f's table as a document's value mapping: every value a str, every
+    value an int (f scaled by the lcm of its denominators), or each value
+    one of str, an unreduced str, a Fraction or (when whole) an int."""
+    if encoding == "int":
+        den = math.lcm(*(x.denominator for x in f.values))
+        return dict(zip(f.ground.subset_keys(), (int(x * den) for x in f.values)))
+    if encoding == "str":
+        return dict(zip(f.ground.subset_keys(), map(str, f.values)))
+    forms = [str, lambda x: f"{2 * x.numerator}/{2 * x.denominator}", Fraction,
+             lambda x: int(x) if x.denominator == 1 else str(x)]
+    return {key: rng.choice(forms)(x) for key, x in zip(f.ground.subset_keys(), f.values)}
+
+
+BUILD_FIXTURES = {
+    **{f"U{k},{n}": (lambda k=k, n=n: uniform(k, n)) for k, n in ((0, 3), (2, 8), (5, 9), (4, 10))},
+    **{f"random-n{n}-seed{seed}": (lambda n=n, seed=seed: random_rational_polymatroid(
+        random.Random(seed), n)) for n, seed in ((8, 1), (9, 2), (10, 3))},
+}
+
+
+@pytest.mark.parametrize("encoding", ["str", "int", "mixed"])
+@pytest.mark.parametrize("fixture", sorted(BUILD_FIXTURES))
+def test_build_equals_the_per_value_oracle(fixture, encoding):
+    rng = random.Random(f"{fixture}/{encoding}")
+    f = BUILD_FIXTURES[fixture]()
+    values = _encoded(f, encoding, rng)
+    oracle = from_table(f.labels, [as_rational(values[k]) for k in f.ground.subset_keys()])
+    got = build(f.labels, values)
+    assert got == oracle
+    assert all(type(x) is Fraction for x in got.values)
+
+
+@pytest.mark.parametrize("encoding", ["str", "int"])
+def test_build_parses_each_distinct_string_once(monkeypatch, encoding):
+    calls = []
+    real = setfn.as_rational
+
+    def counting(value):
+        calls.append(value)
+        return real(value)
+
+    u24 = uniform(2, 4)
+    values = _encoded(u24, encoding, None)
+    monkeypatch.setattr(setfn, "as_rational", counting)
+    assert build(u24.labels, values) == u24
+    # three distinct strings, "0", "1" and "2"; an int is read every time
+    assert calls == (["0", "1", "2"] if encoding == "str" else list(values.values()))
+
+
+def test_build_names_a_repeated_malformed_string_at_its_first_key():
+    values = {"": "0", "1": "1", "2": "x", "1,2": "x", "3": "x", "1,3": "1", "2,3": "1",
+              "1,2,3": "x"}
+    with pytest.raises(MalformedRational) as info:
+        build(["1", "2", "3"], values)
+    assert str(info.value) == "'2': 'x'"
+
+
+def test_build_names_the_first_bad_key_in_mask_order():
+    # a missing key before a malformed one, and the reverse; an unknown key
+    # is looked for only after every canonical key has been read
+    with pytest.raises(MissingSubset) as info:
+        build(["1", "2"], {"": "0", "1": "1", "1,2": "x", "3": "1"})
+    assert str(info.value) == "2"
+    with pytest.raises(MalformedRational) as info:
+        build(["1", "2"], {"": "0", "1": "x", "2": "1", "3": "1"})
+    assert str(info.value) == "'1': 'x'"
+    with pytest.raises(UnknownSubsetKey) as info:
+        build(["1", "2"], {"": "0", "1": "1", "2": "1", "1,2": "2", "3": "1", "0": "1"})
+    assert str(info.value) == "'0'"
+
+
+@pytest.mark.parametrize("earlier", ["1", 1], ids=["str", "int"])
+@pytest.mark.parametrize("later", [1.0, True, np.int64(1)], ids=["float", "bool", "int64"])
+def test_build_rejects_values_equal_to_one_read_before(earlier, later):
+    # 1.0, True and np.int64(1) compare and hash equal to 1, yet none is exact
+    values = {"": 0, "1": earlier, "2": later, "1,2": earlier}
+    with pytest.raises(MalformedRational) as info:
+        build(["1", "2"], values)
+    assert str(info.value).startswith("'2': ")
+
+
+def test_build_rejects_a_repeated_string_past_the_digit_limit_at_its_first_key():
+    big = "1" * 4301
+    with pytest.raises(MalformedRational) as info:
+        build(["1", "2"], {"": "0", "1": "1", "2": big, "1,2": big})
+    assert str(info.value) == f"'2': {big!r} (past the 4300-digit limit)"
+
+
+# -- bare strings of labels ----------------------------------------------------
+
+def test_ground_set_rejects_a_bare_string():
+    assert GroundSet(["12"]).labels == ("12",)
+    with pytest.raises(TypeError, match="labels '12' is a string, not a list of labels"):
+        GroundSet("12")
+
+
+def test_build_rejects_a_bare_string_of_labels():
+    assert build(["ab"], {"": 0, "ab": 1}).labels == ("ab",)
+    with pytest.raises(TypeError, match="'ab'"):
+        build("ab", {"": 0, "a": 1, "b": 1, "a,b": 2})
+
+
+def test_from_table_rejects_a_bare_string_of_labels():
+    assert from_table(("ab",), range(2)).labels == ("ab",)
+    with pytest.raises(TypeError, match="'ab'"):
+        from_table("ab", range(4))

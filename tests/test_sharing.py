@@ -9,7 +9,12 @@ from quantoid import expansion, setfn, sharing
 from quantoid.correspondence import to_polymatroid, to_polyquantoid
 from quantoid.duality import dual, is_selfdual, is_tight
 from quantoid.errors import NotAMatroid, NotIdeal, NotOfKind, UnknownElement
-from quantoid.expansion import expansion_correspondence_holds, free_expand_polymatroid
+from quantoid.expansion import (
+    expansion_correspondence_holds,
+    free_expand_polymatroid,
+    free_expand_polyquantoid,
+    two_factor,
+)
 from quantoid.setfn import build, classify, enumerate_rank_functions, from_table, scale
 from quantoid.sharing import (
     access_from_circuits,
@@ -384,6 +389,35 @@ def test_each_function_is_scaled_once(monkeypatch):
     assert all(analyze_sharing(e, dealer, "polyquantoid").ideal for dealer in e.labels)
     assert sum(v is e.values for v in calls) == 1
     assert len({id(v) for v in calls}) == len(calls) == 1 + e.n
+
+
+def test_each_function_is_classified_once(monkeypatch):
+    calls = []
+    real = setfn._classify
+
+    def counting(f):
+        calls.append(f)  # kept alive, so no two calls share an id
+        return real(f)
+
+    h = scale(uniform(2, 4), 2)  # even singletons, so two_factor applies
+    e = q24()
+    monkeypatch.setattr(setfn, "_classify", counting)
+
+    # the last op is two_factor for h, the Lemma 5.2 cross-check for e
+    for f, kind, extract, expand, last in (
+            (h, "polymatroid", extract_matroid, free_expand_polymatroid, two_factor),
+            (e, "polyquantoid", extract_selfdual_matroid, free_expand_polyquantoid,
+             expansion_correspondence_holds)):
+        calls.clear()
+        assert classify(f) is classify(f)
+        assert all(analyze_sharing(f, dealer, kind).ideal for dealer in f.labels)
+        for dealer in f.labels:
+            extract(f, dealer)
+        expand(f)
+        last(f)
+        # f once; a partner built inside the pipeline is its own object
+        assert sum(x is f for x in calls) == 1
+        assert len({id(x) for x in calls}) == len(calls)
 
 
 def test_access_rejects_non_matroid_before_the_dealer():
