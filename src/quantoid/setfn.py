@@ -166,13 +166,19 @@ class GroundSet:
     def subset_keys(self) -> list[str]:
         """key_of(m) for every subset mask m, in increasing order.
 
-        Built by doubling: the keys of the masks with top bit i are those
-        below it, each with label i appended.
+        The keys are built once per GroundSet object; each call returns a
+        fresh list of them.
         """
+        return list(self._subset_keys)
+
+    @functools.cached_property
+    def _subset_keys(self) -> tuple[str, ...]:
+        """The keys of subset_keys, built by doubling: the keys of the masks
+        with top bit i are those below it, each with label i appended."""
         keys = [""]
         for label in self.labels:
             keys += [f"{x},{label}" if x else label for x in keys]
-        return keys
+        return tuple(keys)
 
     def mask_of_key(self, key: str) -> int:
         """Inverse of key_of.  Accepts members in any order but rejects repeats."""
@@ -449,9 +455,14 @@ def enumerate_rank_functions(kind: str, n: int, cap: int) -> Iterator[SetFunctio
     Lazy and deterministic: functions come out one at a time, in
     lexicographic order of the value table, for every n up to
     MAX_GROUND_SIZE.  A flat depth-first walk assigns values mask by mask,
-    pruning with the local monotonicity/submodularity bounds (and forced
-    complement values for polyquantoids), so only valid tables are ever
-    completed.
+    pruning with the local submodularity bounds from above.  From below,
+    a polymatroid mask gets the monotonicity bound; a polyquantoid mask S
+    with |S| >= 2 gets the Araki-Lieb bound e(S) >= |e(S - i) - e(i)| over
+    its members i, which normalization, complementarity and submodularity
+    imply, and a mask above its complement takes the complement's value.
+    Every valid table meets these bounds, so they change only how many
+    dead branches the walk enters, not the sequence; only valid tables
+    are ever completed.
     """
     if kind not in (POLYMATROID, POLYQUANTOID):
         raise ValueError(f"unknown kind {kind!r}")
@@ -467,10 +478,13 @@ def enumerate_rank_functions(kind: str, n: int, cap: int) -> Iterator[SetFunctio
         xs = below[m]  # the masks one element smaller
         hi = min([cap] + [table[x] + table[y] - table[x & y]
                           for x, y in itertools.combinations(xs, 2)])
-        lo = max(map(table.__getitem__, xs)) if kind == POLYMATROID else 0
-        if kind == POLYQUANTOID and full ^ m < m:  # the complement's value is forced
-            lo = table[full ^ m]
-            hi = min(hi, lo)
+        if kind == POLYMATROID:
+            return range(max(map(table.__getitem__, xs)), hi + 1)
+        # Araki-Lieb: e(S) >= |e(S - i) - e(i)|, with S - i = x and {i} = m ^ x;
+        # for a singleton m ^ x is m itself, so the bound needs |S| >= 2
+        lo = max(abs(table[x] - table[m ^ x]) for x in xs) if len(xs) > 1 else 0
+        if full ^ m < m:  # the complement's value is forced
+            lo, hi = max(lo, table[full ^ m]), min(hi, table[full ^ m])
         return range(lo, hi + 1)
 
     # depth-first: stack[m] runs through the values left for mask m

@@ -10,7 +10,7 @@ import numpy as np
 
 from quantoid.entropic import ApproxSetFunction, _entropy_of, reduced_spectrum
 from quantoid.expansion import QUANTOID_EXPANSION, TWO_FACTOR, adapted_sets
-from quantoid.setfn import Classification, SetFunction, from_table, submasks
+from quantoid.setfn import Classification, GroundSet, SetFunction, from_table, submasks
 from quantoid.sharing import MatroidStructure
 
 
@@ -65,6 +65,38 @@ def random_rational_polymatroid(rng: random.Random, n: int) -> SetFunction:
         for m in range(size):
             table[m] += w * min((m & area).bit_count(), r)
     return from_table(labels_for(n), table)
+
+
+def enumerate_rank_functions_unpruned(kind, n, cap):
+    """enumerate_rank_functions without the Araki-Lieb lower bound: a
+    polyquantoid mask below its complement may take any value from 0 up to
+    its submodularity bound.  The same flat walk, so the same lazy,
+    lexicographic sequence, reached through more dead branches."""
+    ground = GroundSet(labels_for(n))
+    full = (1 << n) - 1
+    below = [[m ^ 1 << i for i in range(n) if m >> i & 1] for m in range(full + 1)]
+    table = [0] * (full + 1)
+
+    def choices(m):
+        xs = below[m]  # the masks one element smaller
+        hi = min([cap] + [table[x] + table[y] - table[x & y]
+                          for x, y in itertools.combinations(xs, 2)])
+        lo = max(map(table.__getitem__, xs)) if kind == "polymatroid" else 0
+        if kind == "polyquantoid" and full ^ m < m:  # the complement's value is forced
+            lo = table[full ^ m]
+            hi = min(hi, lo)
+        return range(lo, hi + 1)
+
+    stack = [iter(range(1))]  # normalized
+    while stack:
+        m = len(stack) - 1
+        table[m] = next(stack[-1], -1)  # values are nonnegative: -1 is "none left"
+        if table[m] < 0:
+            stack.pop()
+        elif m == full:
+            yield SetFunction(ground, tuple(map(Fraction, table)))
+        else:
+            stack.append(iter(choices(m + 1)))
 
 
 def submodular_all_pairs(values, n):

@@ -101,20 +101,29 @@ def test_criterion_1_duality_involution():
     _verdict(1, "duality involution and conservation laws", failures)
 
 
+def _correspondence_failures(e):
+    """Criterion 2's checks on one integer polyquantoid e: its image is a
+    tight selfdual integer polymatroid with even singletons ({0, 2} for a
+    quantoid), and to_polyquantoid inverts it."""
+    failures = []
+    h = to_polymatroid(e)
+    c = classify(h)
+    if not (c.polymatroid and c.tight and c.selfdual):
+        failures.append(("image not tight selfdual polymatroid", e.values))
+    if to_polyquantoid(h) != e:
+        failures.append(("inverse", e.values))
+    if not c.integer or any(h.values[1 << i] % 2 for i in range(h.n)):
+        failures.append(("integer image parity", e.values))
+    if classify(e).quantoid and not all(
+            h.values[1 << i] in (0, 2) for i in range(h.n)):
+        failures.append(("quantoid image singletons", e.values))
+    return failures
+
+
 def test_criterion_2_correspondence_bijection():
     failures = []
     for e in _enumerated_polyquantoids():
-        h = to_polymatroid(e)
-        c = classify(h)
-        if not (c.polymatroid and c.tight and c.selfdual):
-            failures.append(("image not tight selfdual polymatroid", e.values))
-        if to_polyquantoid(h) != e:
-            failures.append(("inverse", e.values))
-        if not c.integer or any(h.values[1 << i] % 2 for i in range(h.n)):
-            failures.append(("integer image parity", e.values))
-        if classify(e).quantoid and not all(
-                h.values[1 << i] in (0, 2) for i in range(h.n)):
-            failures.append(("quantoid image singletons", e.values))
+        failures += _correspondence_failures(e)
     for h in enumerate_rank_functions("polymatroid", 3, 4):
         if not (is_tight(h) and is_selfdual(h)):
             continue
@@ -131,6 +140,18 @@ def test_criterion_2_correspondence_bijection():
         if zero_or_two != ce.quantoid:
             failures.append(("singletons {0,2} vs quantoid image", h.values))
     _verdict(2, "polyquantoid <-> tight selfdual polymatroid bijection", failures)
+
+
+def test_criterion_2_on_every_polyquantoid_at_five_elements():
+    # one size above the criterion's own sweep: the 556 functions of
+    # (polyquantoid, 5, 2), which the pruned enumerator reaches quickly
+    failures = []
+    count = 0
+    for e in enumerate_rank_functions("polyquantoid", 5, 2):
+        failures += _correspondence_failures(e)
+        count += 1
+    assert count == 556
+    _verdict(2, "bijection on every (polyquantoid, 5, 2) function", failures)
 
 
 def test_criterion_3_expansion_closure():

@@ -1,5 +1,6 @@
 """CLI subcommands: document shapes, exit codes, and byte determinism."""
 
+import functools
 import json
 import re
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 
 from quantoid import documents
 from quantoid.cli import main
-from quantoid.setfn import from_table, scale
+from quantoid.setfn import GroundSet, from_table, scale
 
 from helpers import bell, e22, ghz3, uniform, zero_fn
 
@@ -126,6 +127,24 @@ def test_share_wrong_kind_exit_two(tmp_path, capsys, kind):
     path.write_text(json.dumps(documents.set_function_to_doc(from_table(["1", "2"], [0, 1, 0, 0]))))
     code, out, err = run(capsys, "share", str(path), "--dealer", "1", "--kind", kind)
     assert (code, out, err) == (2, "", f"NotOfKind: not a {kind}\n")
+
+
+@pytest.mark.parametrize("argv", [("dual", "u24"), ("share", "u24x2", "--dealer", "4")],
+                         ids=["dual", "share"])
+def test_subset_keys_are_built_once_per_ground_set(corpus, capsys, monkeypatch, argv):
+    built = []
+    real = GroundSet._subset_keys.func
+
+    def counting(g):
+        built.append(g)
+        return real(g)
+
+    cached = functools.cached_property(counting)
+    cached.__set_name__(GroundSet, "_subset_keys")
+    monkeypatch.setattr(GroundSet, "_subset_keys", cached)
+    # read in build, written in the output document: one ground set, one build
+    assert run(capsys, argv[0], corpus[argv[1]], *argv[2:])[0] == 0
+    assert len(built) == 1
 
 
 def test_expand_quantoid_mode(corpus, capsys):

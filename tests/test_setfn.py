@@ -37,6 +37,7 @@ from quantoid.setfn import (
 from helpers import (
     bell,
     classify_exhaustive,
+    enumerate_rank_functions_unpruned,
     ghz3,
     labels_for,
     random_rational_polymatroid,
@@ -136,6 +137,15 @@ def test_subset_keys_equal_key_of_every_mask():
     for n in range(17):
         g = GroundSet(labels_for(n))
         assert g.subset_keys() == [g.key_of(m) for m in g.subsets()]
+
+
+def test_subset_keys_are_a_fresh_list_each_call():
+    g = GroundSet(labels_for(3))
+    keys = g.subset_keys()
+    keys[1] = "changed"
+    keys.append("extra")
+    assert g.subset_keys() == [g.key_of(m) for m in g.subsets()]
+    assert g.subset_keys() is not g.subset_keys()
 
 
 def test_empty_key_is_empty_set():
@@ -248,6 +258,16 @@ def _brute_force(kind, n, cap):
 def test_enumerate_matches_brute_force(kind, n, cap):
     got = [f.values for f in enumerate_rank_functions(kind, n, cap)]
     assert got == _brute_force(kind, n, cap)  # same set, same lexicographic order
+
+
+@pytest.mark.parametrize("kind,n,cap", [
+    ("polyquantoid", 4, 2), ("polyquantoid", 4, 3), ("polyquantoid", 5, 1),
+    ("polyquantoid", 5, 2), ("polyquantoid", 3, 5), ("polyquantoid", 6, 1),
+    ("polymatroid", 4, 3)])
+def test_enumerate_matches_the_unpruned_walk(kind, n, cap):
+    # the Araki-Lieb bound only cuts dead branches: same tables, same order
+    got = [f.values for f in enumerate_rank_functions(kind, n, cap)]
+    assert got == [f.values for f in enumerate_rank_functions_unpruned(kind, n, cap)]
 
 
 @pytest.mark.parametrize("kind", ["polymatroid", "polyquantoid"])
