@@ -31,6 +31,7 @@ from .errors import (
 from .setfn import GroundSet, SetFunction, _increments, _show, _two_point_gains
 
 DEFAULT_TOL = 1e-9
+LOW_BLOCK_CELLS = 243  # 3^5: five binary parties, each at a letter or summed out
 
 
 @dataclass(frozen=True)
@@ -140,6 +141,14 @@ def _sizes_per_party(raw, n: int, error: type, message: str) -> tuple:
     return sizes
 
 
+def _base(base) -> float:
+    """The logarithm base as a float: a finite real number > 0, other than 1."""
+    b = _numbers((base,), float, InvalidDistribution, "base")[0]
+    if not (b > 0 and b != 1):
+        raise InvalidDistribution(f"base {base!r} is not a positive number other than 1")
+    return b
+
+
 def _entropy_of(probabilities, base: float) -> float:
     lam = np.asarray(probabilities, dtype=float)
     lam = lam[lam > 0]
@@ -149,25 +158,53 @@ def _entropy_of(probabilities, base: float) -> float:
 def shannon_entropy_function(dist: JointDistribution, *, base: float = 2.0) -> ApproxSetFunction:
     """Entropy of the marginal on every subset of parties (0 log 0 = 0).
 
-    The subset lattice is walked depth-first from the full table: each
-    marginal is its parent's, one party larger, with that party's axis
-    summed out.  Parties are dropped in increasing index order, so each
-    subset is reached once, and the marginals held at any time, the full
-    table among them, add up to less than twice its size.
+    The last parties whose alphabets, each grown by one, multiply to at
+    most LOW_BLOCK_CELLS form the low block; the other parties are high.
+    The high subsets are walked depth-first from the full table: each
+    marginal is its parent's, one high party larger, with that party's
+    axis summed out, so each high subset is reached once and the low
+    block stays one flat last axis, never summed.  At each node one
+    matrix product with the Kronecker product, over the low parties, of
+    [1 | I_a] gives every marginal on the node's high parties and any
+    subset of the low block: each low party either at one of its letters
+    or summed out.  Column sums of q log q, grouped by the low parties a
+    column keeps, are then the entropies of all such subsets.  Rows go
+    through the product in chunks, so no chunk of the product is larger
+    than the table.  f({}) is exactly 0.0.
     """
-    values = [0.0] * (1 << dist.parties.n)
+    log_base = math.log(_base(base))
+    n, sizes = dist.parties.n, dist.alphabet_sizes
+    high, cells = n, 1
+    while high and cells * (sizes[high - 1] + 1) <= LOW_BLOCK_CELLS:
+        high -= 1
+        cells *= sizes[high] + 1
+    # spread[x, j]: low cell x matches column j, whose low parties are each
+    # at a letter or summed out; support[j]: the low parties column j keeps
+    spread, support = np.ones((1, 1)), np.zeros(1, dtype=np.intp)
+    for i, a in enumerate(sizes[high:]):
+        spread = np.kron(spread, np.hstack([np.ones((a, 1)), np.eye(a)]))
+        support = (support[:, None] | (np.arange(a + 1) > 0) << i).ravel()
+    table = np.asarray(dist.probs, dtype=float)
+    chunk = max(1, table.size // cells)  # rows per product: no q larger than the table
+    out = np.empty((1 << n - high, 1 << high))  # out[t, m] is f(t << high | m)
 
     def visit(marginal: np.ndarray, mask: int, parties: tuple, start: int):
-        # axis k of marginal holds party parties[k]; only axes >= start may drop
-        if mask:
-            values[mask] = _entropy_of(marginal.reshape(-1), base)
+        # axis k < len(parties) of marginal holds high party parties[k]; the
+        # last axis is the low block; only axes >= start may drop
+        rows = marginal.reshape(-1, spread.shape[0])
+        xlogx = np.zeros(cells)
+        for r in range(0, len(rows), chunk):
+            q = rows[r:r + chunk] @ spread
+            xlogx += (q * np.log(q, out=np.zeros_like(q), where=q > 0)).sum(axis=0)
+        out[:, mask] = np.bincount(support, xlogx, len(out)) / -log_base + 0.0  # no -0.0
         for k in range(start, len(parties)):
             visit(marginal.sum(axis=k), mask ^ 1 << parties[k],
                   parties[:k] + parties[k + 1:], k)
 
-    table = np.asarray(dist.probs, dtype=float).reshape(dist.alphabet_sizes)
-    visit(table, len(values) - 1, tuple(range(dist.parties.n)), 0)
-    return ApproxSetFunction(dist.parties, tuple(values))
+    visit(table.reshape(sizes[:high] + (-1,)), (1 << high) - 1, tuple(range(high)), 0)
+    values = out.ravel()
+    values[0] = 0.0
+    return ApproxSetFunction(dist.parties, tuple(values.tolist()))
 
 
 def reduced_spectrum(state: PureState, members: Iterable) -> tuple:
@@ -200,6 +237,7 @@ def von_neumann_entropy_function(state: PureState, *, base: float = 2.0) -> Appr
     dims), and both masks get the same entropy: f(A) == f(N-A) exactly,
     and f({}) = f(N) = 0.0.  That is 2^(n-1) - 1 eigensolves for n >= 1.
     """
+    base = _base(base)
     n = state.parties.n
     psi = np.asarray(state.amplitudes, dtype=complex).reshape(state.dims)
     full = (1 << n) - 1
@@ -212,30 +250,33 @@ def von_neumann_entropy_function(state: PureState, *, base: float = 2.0) -> Appr
 
 
 def snap_to_rational(f: ApproxSetFunction, max_denominator: int) -> SetFunction:
-    """Replace each value by the nearest rational with a bounded denominator.
+    """Replace each value by the nearest rational with a bounded denominator,
+    found once per distinct value.
 
     Fails if any value sits farther than the function's tolerance from its
     snap target; the message names the first such value, then the worst
     residual and its subset.
     """
-    if max_denominator < 1:
-        raise SnapFailed(f"max_denominator {_show(max_denominator)} is not at least 1")
-    out = []
-    off = []  # (mask, residual) of each value farther than tol from its target
-    for mask, v in enumerate(f.values):
-        target = Fraction(v).limit_denominator(max_denominator)
-        residual = abs(v - target)
-        if residual > f.tol:
-            off.append((mask, residual))
-        out.append(target)
+    try:
+        cap = operator.index(max_denominator)
+    except TypeError:
+        cap = None
+    if cap is None or isinstance(max_denominator, bool):
+        raise SnapFailed(f"max_denominator {_show(max_denominator)} is not an integer")
+    if cap < 1:
+        raise SnapFailed(f"max_denominator {_show(cap)} is not at least 1")
+    target = {v: Fraction(v).limit_denominator(cap) for v in set(f.values)}
+    residual = {v: abs(v - t) for v, t in target.items()}
+    # (mask, residual) of each value farther than tol from its target
+    off = [(mask, residual[v]) for mask, v in enumerate(f.values) if residual[v] > f.tol]
     if off:
         first = off[0][0]
-        worst, residual = max(off, key=lambda item: item[1])
+        worst, largest = max(off, key=lambda item: item[1])
         raise SnapFailed(
             f"{{{f.ground.key_of(first)}}}: {f.values[first]!r} is not within {f.tol} of a "
-            f"rational with denominator <= {max_denominator}; worst residual "
-            f"{residual!r} at {{{f.ground.key_of(worst)}}}")
-    return SetFunction(f.ground, tuple(out))
+            f"rational with denominator <= {cap}; worst residual "
+            f"{largest!r} at {{{f.ground.key_of(worst)}}}")
+    return SetFunction(f.ground, tuple(map(target.__getitem__, f.values)))
 
 
 def is_approx_polymatroid(f: ApproxSetFunction) -> bool:

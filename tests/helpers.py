@@ -411,9 +411,32 @@ def approx_submodular_all_pairs(f):
     )
 
 
+def shannon_entropy_function_dfs(dist, base=2.0):
+    """Entropy of every marginal, one numpy sum and one entropy per subset:
+    the subset lattice is walked depth-first from the full table, and each
+    marginal is its parent's, one party larger, with that party's axis
+    summed out.  Parties are dropped in increasing index order, so each
+    subset is reached once, and the marginals held at any time, the full
+    table among them, add up to less than twice its size.  The reference
+    for the library's blocked shannon_entropy_function."""
+    values = [0.0] * (1 << dist.parties.n)
+
+    def visit(marginal, mask, parties, start):
+        # axis k of marginal holds party parties[k]; only axes >= start may drop
+        if mask:
+            values[mask] = _entropy_of(marginal.reshape(-1), base)
+        for k in range(start, len(parties)):
+            visit(marginal.sum(axis=k), mask ^ 1 << parties[k],
+                  parties[:k] + parties[k + 1:], k)
+
+    table = np.asarray(dist.probs, dtype=float).reshape(dist.alphabet_sizes)
+    visit(table, len(values) - 1, tuple(range(dist.parties.n)), 0)
+    return ApproxSetFunction(dist.parties, tuple(values))
+
+
 def shannon_entropy_function_loops(dist, base=2.0):
     """Entropy of every marginal, each summed out of the full table: the
-    reference for the library's depth-first shannon_entropy_function."""
+    reference for the library's shannon_entropy_function."""
     arr = np.asarray(dist.probs, dtype=float).reshape(dist.alphabet_sizes)
     n = dist.parties.n
     values = [0.0] * (1 << n)

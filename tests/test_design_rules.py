@@ -45,7 +45,9 @@ def test_only_setfn_splits_a_table():
 def test_exact_modules_do_not_recurse():
     # a recursion per mask or per subset would run 2^16 frames deep on the
     # largest ground set.  entropic's Shannon walk may recurse: its depth is
-    # one frame per party, n <= 16, and it keeps memory under twice the table
+    # one frame per high party, n <= 16, and it holds the marginals on one
+    # path of the walk, under twice the table, plus one row chunk of the
+    # low-block product and its q log q, each no larger than the table
     exact = {"setfn.py", "sharing.py", "expansion.py", "duality.py", "correspondence.py"}
     found = [f"{path.name}:{fn.name}"
              for path in SOURCES if path.name in exact

@@ -1,6 +1,7 @@
 """Entropy constructors: Shannon marginals, von Neumann reductions, snapping."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -34,6 +35,7 @@ from helpers import (
     is_approx_polymatroid_all_pairs,
     is_approx_polyquantoid_all_pairs,
     labels_for,
+    shannon_entropy_function_dfs,
     shannon_entropy_function_loops,
     von_neumann_entropy_function_loops,
 )
@@ -400,6 +402,44 @@ def test_shannon_equals_per_mask_oracle():
         shannon_entropy_function_loops(dist, base=math.e).values, abs=ORACLE_TOL)
 
 
+# alphabets around the low block's bound of 243 extended cells, first and last,
+# and runs of alphabet-1 parties, which the block takes 7 at a time
+BLOCK_SIZES = [(2, 300), (300, 2), (242,), (243,), (2, 80), (80, 2), (3, 3, 3, 3, 3, 2),
+               (1,) * 9, (7, 1, 1, 1, 1, 1, 1, 1), (1, 2, 1, 1, 3, 1, 2)]
+
+
+def test_shannon_equals_depth_first_and_per_mask_oracles():
+    rng = np.random.default_rng(20121024)
+    shapes = [(2,) * n for n in range(11)] + MIXED_SIZES + BLOCK_SIZES
+    dists = [distribution_on(rng, sizes, kind)
+             for sizes in shapes for kind in ("dense", "sparse", "product")]
+    tiny = 5e-324  # the least subnormal, the only mass of party 3's second letter
+    dists.append(JointDistribution(three_parties(), (2, 2, 2), (1.0, tiny, 0, 0, 0, 0, 0, 0)))
+    for dist in dists:
+        f = shannon_entropy_function(dist)
+        assert f.values[0] == 0.0 and math.copysign(1.0, f.values[0]) == 1.0
+        assert not any(v == 0 and math.copysign(1.0, v) < 0 for v in f.values)  # no -0.0
+        for oracle in (shannon_entropy_function_dfs, shannon_entropy_function_loops):
+            assert np.allclose(f.values, oracle(dist).values, rtol=0, atol=ORACLE_TOL), (
+                dist.alphabet_sizes, oracle.__name__)
+    assert f.values[4] > 0  # f({3}) is the subnormal mass's own entropy, not 0 or nan
+
+
+@pytest.mark.parametrize("n", [12, 13])
+def test_shannon_peak_memory_stays_near_the_depth_first_walk(n):
+    # the product's row chunks keep each chunk no larger than the table
+    dist = distribution_on(np.random.default_rng(20121025), (2,) * n, "dense")
+    peaks = []
+    for constructor in (shannon_entropy_function, shannon_entropy_function_dfs):
+        tracemalloc.start()
+        try:
+            constructor(dist)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 3 * peaks[1], peaks
+
+
 def test_von_neumann_equals_per_mask_oracle_and_is_complement_symmetric():
     rng = np.random.default_rng(20121020)
     shapes = [(2,) * n for n in range(8)] + MIXED_SIZES
@@ -553,3 +593,51 @@ def test_snap_message_obeys_the_digit_limit():
     f = ApproxSetFunction(GroundSet(("1",)), (0.0, 0.5))
     with pytest.raises(SnapFailed, match="^max_denominator <a value past the 4300-digit"):
         snap_to_rational(f, -10**4400)
+
+
+BAD_BASES = [0, -2, 1, 1.0, math.nan, math.inf, -math.inf, True, np.True_, "2", None, 2j]
+
+
+@pytest.mark.parametrize("base", BAD_BASES, ids=repr)
+def test_entropy_base_is_a_finite_positive_real_other_than_one(base):
+    dist = JointDistribution(two_parties(), (2, 2), (0.5, 0, 0, 0.5))
+    for constructor, source in [(shannon_entropy_function, dist),
+                                (von_neumann_entropy_function, bell_state())]:
+        with pytest.raises(InvalidDistribution, match="base"):
+            constructor(source, base=base)
+
+
+def test_entropy_base_below_one_and_of_any_real_type():
+    dist = JointDistribution(two_parties(), (2, 2), (0.5, 0, 0, 0.5))
+    assert shannon_entropy_function(dist, base=Fraction(1, 2)).values == (0.0, -1.0, -1.0, -1.0)
+    assert von_neumann_entropy_function(bell_state(), base=np.float32(4)).values == pytest.approx(
+        (0, 0.5, 0.5, 0), abs=TOL)
+
+
+@pytest.mark.parametrize("cap", [2.5, math.inf, math.nan, True, np.True_, "3", None, Fraction(2)],
+                         ids=repr)
+def test_snap_denominator_is_an_integer(cap):
+    f = ApproxSetFunction(ONE, (0.0, 0.5))
+    with pytest.raises(SnapFailed, match=r"^max_denominator .* is not an integer$"):
+        snap_to_rational(f, cap)
+
+
+def test_snap_denominator_of_any_integer_type():
+    f = ApproxSetFunction(ONE, (0.0, 0.5))
+    assert snap_to_rational(f, np.int64(2)).values == (Fraction(0), Fraction(1, 2))
+    with pytest.raises(SnapFailed, match=r"^max_denominator 0 is not at least 1$"):
+        snap_to_rational(f, np.int64(0))
+
+
+def test_snap_finds_each_distinct_value_once(monkeypatch):
+    calls = []
+    limit = Fraction.limit_denominator
+
+    def counted(self, *args):
+        calls.append(self)
+        return limit(self, *args)
+
+    monkeypatch.setattr(Fraction, "limit_denominator", counted)
+    f = ApproxSetFunction(two_parties(), (0.0, 0.5 + 1e-12, 0.5 + 1e-12, 1.0))
+    assert snap_to_rational(f, 2).values == (0, Fraction(1, 2), Fraction(1, 2), 1)
+    assert len(calls) == 3
