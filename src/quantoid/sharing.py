@@ -18,6 +18,14 @@ authorized family is upward closed: a coalition is minimal exactly when no
 coalition one element smaller is authorized.  Circuits, the minimal
 dependent sets, are found the same way.
 
+The index plans these comparisons read, _one_smaller(n) and
+_coalitions(n, dealer_bit), depend only on their arguments, so each is
+built on first use, once per key, and kept read-only.  Over every size
+0..16 the cached plans hold at most about 26 MB: 17.7 MB of _one_smaller
+(9.4 MB at n = 16, 4.4 MB at n = 15) and 7.9 MB of _coalitions.
+Coalitions are named through GroundSet.members, which reads the ground
+set's cached subset keys.
+
 Ideal dealers force matroid structure: the polymatroid is a positive
 multiple of a matroid rank function, which extract_matroid recovers; for
 polyquantoids the matroid is additionally tight and selfdual.
@@ -25,6 +33,7 @@ polyquantoids the matroid is additionally tight and selfdual.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -78,17 +87,25 @@ class _Flags(NamedTuple):
     imperfect: int | None  # first coalition whose increment is neither allowed value
 
 
+@functools.cache
 def _coalitions(n: int, dealer_bit: int) -> np.ndarray:
-    """The masks without the dealer bit, ascending: a table's dealer-axis order."""
-    return _halves(np.arange(1 << n), dealer_bit)[0].ravel()
+    """The masks without the dealer bit, ascending: a table's dealer-axis order.
+    Built once per (n, dealer_bit) and read-only."""
+    coalitions = _halves(np.arange(1 << n), dealer_bit)[0].ravel()
+    coalitions.flags.writeable = False
+    return coalitions
 
 
+@functools.cache
 def _one_smaller(n: int) -> tuple:
     """below[m, i] is mask m without element i, for every mask m over n
-    elements; smaller[m, i] says whether i was in m."""
+    elements; smaller[m, i] says whether i was in m.  Built once per n and
+    read-only."""
     masks = np.arange(1 << n)
     below = masks[:, None] & ~(1 << np.arange(n))
-    return below, below != masks[:, None]
+    smaller = below != masks[:, None]
+    below.flags.writeable = smaller.flags.writeable = False
+    return below, smaller
 
 
 def _sharing_flags(f: SetFunction, dealer_bit: int, quantum: bool) -> _Flags:
@@ -99,7 +116,8 @@ def _sharing_flags(f: SetFunction, dealer_bit: int, quantum: bool) -> _Flags:
     authorized = inc == (-secret if quantum else 0)
     full_info = inc == secret
     allowed = authorized | full_info
-    perfect = bool(allowed.all())
+    first = int(allowed.argmin())  # the first coalition not allowed, if any
+    perfect = bool(allowed[first])
 
     # bit p of a coalition's index is the p-th element other than the dealer
     below, smaller = _one_smaller(f.n - 1)
@@ -111,7 +129,7 @@ def _sharing_flags(f: SetFunction, dealer_bit: int, quantum: bool) -> _Flags:
     coalitions = _coalitions(f.n, dealer_bit)
     return _Flags(perfect, tuple(coalitions[authorized].tolist()),
                   tuple(coalitions[minimal].tolist()), essential, ideal,
-                  None if perfect else int(coalitions[allowed.argmin()]))  # first False
+                  None if perfect else int(coalitions[first]))
 
 
 def _not_ideal_reason(f: SetFunction, dealer_idx: int, flags: _Flags) -> str:

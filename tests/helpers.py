@@ -24,6 +24,12 @@ def uniform(k, n, labels=None):
                       [min(m.bit_count(), k) for m in range(1 << n)])
 
 
+def members_loops(g, mask):
+    """The member labels of a mask, one bit at a time: the reference for
+    GroundSet.members, which reads the cached subset keys."""
+    return tuple(g.labels[i] for i in range(g.n) if mask >> i & 1)
+
+
 def zero_fn(n, labels=None):
     return from_table(labels or labels_for(n), [0] * (1 << n))
 
@@ -298,7 +304,7 @@ def not_ideal_reason_loops(f, dealer_idx, flags, quantum):
             inc = f.values[m | dbit] - f.values[m]
             if inc not in allowed:
                 return (f"dealer {dealer!r} is not perfect: "
-                        f"increment {inc} on coalition {{{g.key_of(m)}}}")
+                        f"increment {inc} on coalition {{{','.join(members_loops(g, m))}}}")
     for i in range(f.n):
         if i != dealer_idx and i not in essential:
             return f"element {g.labels[i]!r} is not essential for dealer {dealer!r}"
@@ -354,7 +360,7 @@ def matroid_structure_loops(r):
     labels = r.ground.labels
     return MatroidStructure(
         rank=r,
-        circuits=tuple(r.ground.members(c) for c in circuits),
+        circuits=tuple(members_loops(r.ground, c) for c in circuits),
         loops=tuple(labels[i] for i in loops),
         coloops=tuple(labels[i] for i in coloops),
         connected=connected,
@@ -371,7 +377,7 @@ def access_from_circuits_loops(r, dealer):
         m for m in submasks(r.full_mask ^ dbit)
         if any(c & ~(dbit | m) == 0 for c in through)
     ]
-    return tuple(r.ground.members(m) for m in family)
+    return tuple(members_loops(r.ground, m) for m in family)
 
 
 def is_approx_polymatroid_all_pairs(f):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from quantoid import setfn
+from quantoid import setfn, sharing
 from quantoid.errors import (
     DuplicateLabel,
     GroundSetTooLarge,
@@ -40,6 +40,7 @@ from helpers import (
     enumerate_rank_functions_unpruned,
     ghz3,
     labels_for,
+    members_loops,
     random_rational_polymatroid,
     uniform,
     zero_fn,
@@ -152,6 +153,32 @@ def test_empty_key_is_empty_set():
     g = GroundSet(("x",))
     assert g.key_of(0) == ""
     assert g.mask_of_key("") == 0
+
+
+NON_ASCII = ("α", "日本", "é", "ß", "👍", "Ω", "x y", "ü1")
+
+
+@pytest.mark.parametrize("labels", [labels_for, lambda n: NON_ASCII[:n]],
+                         ids=["digits", "non-ascii"])
+def test_names_equal_the_per_bit_loop(labels):
+    # members, key_of and the reports' _members_of read the cached keys
+    for n in range(9):
+        f = zero_fn(n, labels(n))
+        g = f.ground
+        expected = [members_loops(g, m) for m in g.subsets()]
+        assert [g.members(m) for m in g.subsets()] == expected
+        assert [g.key_of(m) for m in g.subsets()] == [",".join(x) for x in expected]
+        assert sharing._members_of(f, g.subsets()) == tuple(expected)
+
+
+@pytest.mark.parametrize("mask", [4, 5, 1 << 16, -1, -2])
+def test_masks_outside_the_ground_set_are_value_errors(mask):
+    g = GroundSet(("a", "b"))
+    for name in (g.key_of, g.members):
+        with pytest.raises(ValueError, match=rf"^mask {mask} is outside 0 \.\. 3 for 2 elements$"):
+            name(mask)
+    with pytest.raises(ValueError, match=rf"^mask {mask} is outside 0 \.\. 0 for 0 elements$"):
+        GroundSet(()).members(mask)
 
 
 # -- classify ------------------------------------------------------------------

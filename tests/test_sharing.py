@@ -1,6 +1,7 @@
 """Secret-sharing analysis, matroid extraction, and circuit structure."""
 
 from fractions import Fraction
+import functools
 import random
 
 import pytest
@@ -321,6 +322,44 @@ def test_kernel_equals_loop_oracles():
         assert matroid_structure(r) == matroid_structure_loops(r)
         for dealer in r.labels:
             assert access_from_circuits(r, dealer) == access_from_circuits_loops(r, dealer)
+
+
+def test_plans_equal_a_per_mask_build():
+    for n in range(9):
+        below, smaller = sharing._one_smaller(n)
+        assert below.tolist() == [[m & ~(1 << i) for i in range(n)] for m in range(1 << n)]
+        assert smaller.tolist() == [[m >> i & 1 == 1 for i in range(n)] for m in range(1 << n)]
+        for i in range(n):
+            assert sharing._coalitions(n, 1 << i).tolist() == \
+                [m for m in range(1 << n) if not m >> i & 1]
+
+
+def test_plans_are_read_only():
+    # the top bit's coalitions are a view of one arange, the others copies
+    for plan in (*sharing._one_smaller(3), sharing._coalitions(3, 1), sharing._coalitions(3, 4)):
+        with pytest.raises(ValueError, match="read-only"):
+            plan[0] = 1
+
+
+def test_each_plan_is_built_once_per_key(monkeypatch):
+    built = {"_one_smaller": [], "_coalitions": []}
+    for name, keys in built.items():
+        def counting(*key, real=getattr(sharing, name).__wrapped__, keys=keys):
+            keys.append(key)
+            return real(*key)
+
+        monkeypatch.setattr(sharing, name, functools.cache(counting))
+    e = q24()
+    reports = [analyze_sharing(e, dealer, "polyquantoid") for dealer in e.labels]
+    assert all(rep.ideal for rep in reports)
+    r = reports[0].extraction[1]
+    matroid_structure(r)
+    for dealer in r.labels:
+        access_from_circuits(r, dealer)
+    # the flags read one size below the function, the circuits the rank's
+    # own size; access_from_circuits reuses the flags' coalitions
+    assert built == {"_one_smaller": [(3,), (4,)],
+                     "_coalitions": [(4, 1), (4, 2), (4, 4), (4, 8)]}
 
 
 def test_extracted_rank_is_a_matroid():
