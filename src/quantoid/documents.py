@@ -60,11 +60,13 @@ def _texts(values) -> list:
             f"an output value has more than {sys.get_int_max_str_digits()} digits") from None
 
 
+def _table_doc(ground: GroundSet, values) -> dict:
+    """The shape both table documents share: labels, then values by subset key."""
+    return {"ground_set": list(ground.labels), "values": dict(zip(ground.subset_keys(), values))}
+
+
 def set_function_to_doc(f: SetFunction) -> dict:
-    return {
-        "ground_set": list(f.labels),
-        "values": dict(zip(f.ground.subset_keys(), _texts(f.values))),
-    }
+    return _table_doc(f.ground, _texts(f.values))
 
 
 def set_function_from_doc(doc) -> SetFunction:
@@ -74,11 +76,7 @@ def set_function_from_doc(doc) -> SetFunction:
 
 
 def approx_set_function_to_doc(f: ApproxSetFunction) -> dict:
-    return {
-        "ground_set": list(f.ground.labels),
-        "values": dict(zip(f.ground.subset_keys(), f.values)),
-        "tol": f.tol,
-    }
+    return {**_table_doc(f.ground, f.values), "tol": f.tol}
 
 
 def distribution_from_doc(doc) -> JointDistribution:

@@ -63,6 +63,7 @@ from .setfn import (
     SetFunction,
     _from_scaled,
     _halves,
+    _in_range,
     _modular,
     _show,
     classify,
@@ -101,16 +102,18 @@ class BlockMap:
         return cls(source=source, blocks=blocks, expanded=expanded)
 
     def block_mask(self, i: int) -> int:
-        """Mask of source element i's block within the expanded ground set."""
-        return self.expanded.mask_of(self.blocks[i])
+        """Mask of source element i's block within the expanded ground set.
+        An index outside 0 .. n - 1 is a ValueError."""
+        n = self.source.n
+        return self.expanded.mask_of(self.blocks[_in_range("element", i, n, n)])
 
     def image_mask(self, source_mask: int) -> int:
-        """Mask of the union of blocks of a source subset."""
-        mask = 0
-        for i in range(self.source.n):
-            if source_mask >> i & 1:
-                mask |= self.block_mask(i)
-        return mask
+        """Mask of the union of blocks of a source subset.  A mask outside
+        0 .. 2^n - 1 is a ValueError."""
+        n = self.source.n
+        _in_range("mask", source_mask, 1 << n, n)
+        # blocks are disjoint, so the sum of their masks is their union
+        return sum(self.block_mask(i) for i in range(n) if source_mask >> i & 1)
 
 
 @dataclass(frozen=True)
@@ -124,10 +127,13 @@ def adapted_sets(block_map: BlockMap, subset) -> tuple:
     """All source subsets J adapted to K: every element whose nonempty block
     lies inside K belongs to J, and every element of J has a block meeting K.
 
-    `subset` is a mask in the expanded ground set, or an iterable of
-    expanded labels.  Returns member-label tuples in ascending mask order.
+    `subset` is a mask in the expanded ground set (a mask outside
+    0 .. 2^n - 1 is a ValueError), or an iterable of expanded labels.
+    Returns member-label tuples in ascending mask order.
     """
-    K = subset if isinstance(subset, int) else block_map.expanded.mask_of(subset)
+    g = block_map.expanded
+    K = (_in_range("mask", subset, 1 << g.n, g.n) if isinstance(subset, int)
+         else g.mask_of(subset))
     upper = 0
     lower = 0
     for i in range(block_map.source.n):
@@ -170,21 +176,27 @@ def _require_integer(f: SetFunction, kind: str):
         raise NotIntegerPolyquantoid(f"values on {f.labels}")
 
 
-def _block_sizes(f: SetFunction) -> list:
-    sizes = [int(f.values[1 << i]) for i in range(f.n)]
-    total = sum(sizes)
+def _check_copies(f: SetFunction):
+    """ExpansionTooLarge unless f's singleton values, the copies of its
+    free expansion, add up to at most MAX_GROUND_SIZE."""
+    total = sum(int(f.values[1 << i]) for i in range(f.n))
     if total > MAX_GROUND_SIZE:
         raise ExpansionTooLarge(f"{_show(total)} expanded elements (maximum {MAX_GROUND_SIZE})")
-    return sizes
 
 
-def _expand(f: SetFunction, sizes: list, kind: str) -> Expansion:
-    """The `kind` expansion of f with blocks of the given sizes.  The kind
-    fixes the costs: a 2-factor's blocks are pairs, each costing 2, and only
-    a quantoid expansion also charges the copies of J that K misses."""
+def _expand(f: SetFunction, kind: str) -> Expansion:
+    """The `kind` expansion of a validated f, with no size check.
+
+    The block sizes come from f's singleton values and one unit, pair: 2
+    for a 2-factor, whose block k of element i stands for copies i.(2k)
+    and i.(2k+1), and 1 otherwise.  Block i has f(i) / pair elements, each
+    costing pair; only a quantoid expansion also charges the copies of J
+    that K misses.
+    """
+    pair = 2 if kind == TWO_FACTOR else 1
+    sizes = [int(f.values[1 << i]) // pair for i in range(f.n)]
     bmap = BlockMap.from_sizes(f.ground, sizes)
-    table = _count_table(f._scaled_table[0], sizes, 2 if kind == TWO_FACTOR else 1,
-                         kind == QUANTOID_EXPANSION)
+    table = _count_table(f._scaled_table[0], sizes, pair, kind == QUANTOID_EXPANSION)
     # each copy in block i adds the place value of digit i to the index
     index = _modular([math.prod(t + 1 for t in sizes[:i])
                       for i, s in enumerate(sizes) for _ in range(s)], np.int64)
@@ -193,7 +205,8 @@ def _expand(f: SetFunction, sizes: list, kind: str) -> Expansion:
 
 def _expansion(f: SetFunction, kind: str) -> Expansion:
     _require_integer(f, kind)
-    return _expand(f, _block_sizes(f), kind)
+    _check_copies(f)
+    return _expand(f, kind)
 
 
 def free_expand_polymatroid(h: SetFunction) -> Expansion:
@@ -217,13 +230,8 @@ def two_factor(h: SetFunction) -> Expansion:
     for i in range(h.n):
         if int(h.values[1 << i]) % 2:
             raise OddSingletonValue(h.labels[i])
-    _block_sizes(h)  # the copies the pairs stand for obey the expansion limit
-    return _two_factor(h)
-
-
-def _two_factor(h: SetFunction) -> Expansion:
-    # block k of source element i stands for copies i.(2k) and i.(2k+1)
-    return _expand(h, [int(h.values[1 << i]) // 2 for i in range(h.n)], TWO_FACTOR)
+    _check_copies(h)  # the copies the pairs stand for obey the expansion limit
+    return _expand(h, TWO_FACTOR)
 
 
 def expansion_correspondence_holds(e: SetFunction) -> bool:
@@ -238,5 +246,5 @@ def expansion_correspondence_holds(e: SetFunction) -> bool:
     """
     direct = _expansion(e, QUANTOID_EXPANSION)
     # the partner is an integer polymatroid with even singletons 2 e(i)
-    factored = _two_factor(to_polymatroid(e))
+    factored = _expand(to_polymatroid(e), TWO_FACTOR)
     return to_polyquantoid(factored.expanded_fn) == direct.expanded_fn

@@ -85,6 +85,18 @@ def as_rational(value) -> Fraction:
     raise MalformedRational(repr(value))
 
 
+def _outside(name: str, x: int, end: int, n: int) -> ValueError:
+    """The error for a mask or element index x not in 0 .. end - 1."""
+    return ValueError(f"{name} {x} is outside 0 .. {end - 1} for {n} elements")
+
+
+def _in_range(name: str, x: int, end: int, n: int) -> int:
+    """x, when 0 <= x < end; otherwise _outside's ValueError."""
+    if 0 <= x < end:
+        return x
+    raise _outside(name, x, end, n)
+
+
 def _show(x) -> str:
     """str(x) for an error message; where that text would pass int's str
     limit, a note naming the limit in its place."""
@@ -174,7 +186,7 @@ class GroundSet:
         keys = self._subset_keys
         if 0 <= mask < len(keys):
             return keys[mask]
-        raise ValueError(f"mask {mask} is outside 0 .. {len(keys) - 1} for {self.n} elements")
+        raise _outside("mask", mask, len(keys), self.n)
 
     def subset_keys(self) -> list[str]:
         """key_of(m) for every subset mask m, in increasing order.
@@ -237,7 +249,8 @@ class SetFunction:
         return self.ground.full_mask
 
     def __getitem__(self, mask: int) -> Fraction:
-        return self.values[mask]
+        """The value on mask; a mask outside 0 .. 2^n - 1 is a ValueError."""
+        return self.values[_in_range("mask", mask, len(self.values), self.n)]
 
     def value(self, members: Iterable) -> Fraction:
         """Value on the subset given by its member labels."""
@@ -508,6 +521,8 @@ def enumerate_rank_functions(kind: str, n: int, cap: int) -> Iterator[SetFunctio
         if table[m] < 0:
             stack.pop()
         elif m == full:
-            yield SetFunction(ground, tuple(map(Fraction, table)))
+            # int64 holds the table: no value passes the sum of the singletons,
+            # which the walk counts up from 0, one value at a time
+            yield _from_scaled(ground, np.array(table), Fraction(1))
         else:
             stack.append(iter(choices(m + 1)))

@@ -152,10 +152,6 @@ def _not_ideal_reason(f: SetFunction, dealer_idx: int, flags: _Flags) -> str:
                     f"dealer {dealer!r} has {_show(secret)}")
 
 
-def _members_of(f: SetFunction, masks) -> tuple:
-    return tuple(map(f.ground.members, masks))
-
-
 def _validated_flags(f: SetFunction, dealer, kind: str) -> tuple:
     """Validate f as `kind` with its one classify; return (dealer index, flags)."""
     if kind not in (POLYMATROID, POLYQUANTOID):
@@ -183,8 +179,8 @@ def analyze_sharing(f: SetFunction, dealer, kind: str = POLYMATROID) -> SharingR
     return SharingReport(
         dealer=f.ground.labels[idx],
         perfect=flags.perfect,
-        authorized=_members_of(f, flags.authorized),
-        minimal_authorized=_members_of(f, flags.minimal),
+        authorized=tuple(map(f.ground.members, flags.authorized)),
+        minimal_authorized=tuple(map(f.ground.members, flags.minimal)),
         essential=tuple(f.ground.labels[i] for i in flags.essential),
         ideal=flags.ideal,
         extraction=extraction,
@@ -251,7 +247,7 @@ def matroid_structure(r: SetFunction) -> MatroidStructure:
     labels = r.ground.labels
     return MatroidStructure(
         rank=r,
-        circuits=_members_of(r, circuits.tolist()),
+        circuits=tuple(map(r.ground.members, circuits.tolist())),
         loops=tuple(labels[i] for i in loops),
         coloops=tuple(labels[i] for i in coloops),
         connected=connected,
@@ -271,4 +267,4 @@ def access_from_circuits(r: SetFunction, dealer) -> tuple:
     for without, with_i in _increments(closure, r.n):
         with_i |= without
     family = _coalitions(r.n, dbit)[_halves(closure, dbit)[1].ravel()]
-    return _members_of(r, family.tolist())
+    return tuple(map(r.ground.members, family.tolist()))

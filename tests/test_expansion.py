@@ -151,6 +151,27 @@ def test_adapted_set_of_block_image_is_unique():
         assert adapted_sets(exp.map, image) == (expected,)
 
 
+def _reads_outside(read, name, x, end, n):
+    message = rf"^{name} {x} is outside 0 \.\. {end - 1} for {n} elements$"
+    with pytest.raises(ValueError, match=message):
+        read(x)
+
+
+def test_mask_readers_reject_what_lies_outside_the_ground_set():
+    # the ValueError of GroundSet.key_of, for a mask or an element index
+    bmap = free_expand_polyquantoid(e22()).map  # 2 source elements, 4 expanded
+    u12 = uniform(1, 2)
+    assert adapted_sets(bmap, 15) == (("1", "2"),)
+    assert (bmap.image_mask(3), bmap.block_mask(1), u12[3]) == (15, 12, 1)
+    for x in (16, 17, -1):
+        _reads_outside(lambda m: adapted_sets(bmap, m), "mask", x, 16, 4)
+    for x in (4, -1):
+        _reads_outside(bmap.image_mask, "mask", x, 4, 2)
+        _reads_outside(u12.__getitem__, "mask", x, 4, 2)
+    for x in (2, -1):
+        _reads_outside(bmap.block_mask, "element", x, 2, 2)
+
+
 # -- 2-factors -------------------------------------------------------------------
 
 def test_two_factor_doubled_u12():
@@ -273,7 +294,7 @@ def test_count_kernel_equals_oracles():
             # a doubled source may stand for more than 16 copies, so its
             # 2-factor is taken past the public limit
             doubled = scale(src, 2)
-            cases.append((doubled, expansion._two_factor(doubled)))
+            cases.append((doubled, expansion._expand(doubled, expansion.TWO_FACTOR)))
         for source, exp in cases:
             values = exp.expanded_fn.values
             assert values == full_minimization(source, exp)

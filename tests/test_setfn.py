@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from quantoid import setfn, sharing
+from quantoid import setfn
 from quantoid.errors import (
     DuplicateLabel,
     GroundSetTooLarge,
@@ -161,14 +161,13 @@ NON_ASCII = ("α", "日本", "é", "ß", "👍", "Ω", "x y", "ü1")
 @pytest.mark.parametrize("labels", [labels_for, lambda n: NON_ASCII[:n]],
                          ids=["digits", "non-ascii"])
 def test_names_equal_the_per_bit_loop(labels):
-    # members, key_of and the reports' _members_of read the cached keys
+    # members and key_of read the cached keys; the reports name coalitions through members
     for n in range(9):
         f = zero_fn(n, labels(n))
         g = f.ground
         expected = [members_loops(g, m) for m in g.subsets()]
         assert [g.members(m) for m in g.subsets()] == expected
         assert [g.key_of(m) for m in g.subsets()] == [",".join(x) for x in expected]
-        assert sharing._members_of(f, g.subsets()) == tuple(expected)
 
 
 @pytest.mark.parametrize("mask", [4, 5, 1 << 16, -1, -2])
@@ -307,6 +306,23 @@ def test_enumerate_cap_zero_up_to_the_ground_set_limit(kind, n):
 def test_enumerate_is_lazy():
     first = next(enumerate_rank_functions("polymatroid", 16, 1))
     assert first.values == zero_fn(16).values
+
+
+def test_enumerate_builds_each_function_through_the_kernel(monkeypatch):
+    # setfn._from_scaled turns every integer table into a SetFunction
+    built = []
+    real = setfn._from_scaled
+
+    def counting(ground, table, unit):
+        built.append(real(ground, table, unit))
+        return built[-1]
+
+    monkeypatch.setattr(setfn, "_from_scaled", counting)
+    for kind, n, cap in (("polymatroid", 3, 2), ("polyquantoid", 4, 2)):
+        built.clear()
+        got = list(enumerate_rank_functions(kind, n, cap))
+        assert len(got) == len(built) > 1
+        assert all(f is g for f, g in zip(got, built))
 
 
 def test_enumerate_output_passes_classify():
