@@ -24,9 +24,60 @@ from .setfn import GroundSet, SetFunction, build
 from .sharing import SharingReport
 
 
+_encode = json.encoder.encode_basestring  # C; what json.dumps uses with ensure_ascii=False
+_INF = float("inf")
+
+
 def dumps(doc) -> str:
-    """Canonical JSON text: two-space indent, insertion order, trailing newline."""
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    """Canonical JSON text: two-space indent, insertion order, trailing newline.
+
+    One writer produces every output document; its bytes equal
+    json.dumps(doc, indent=2, ensure_ascii=False) + "\\n", and whatever
+    json.dumps rejects as a value or key raises TypeError here too.  There
+    is no check for a container that holds itself, which no document
+    does: it ends in RecursionError, where json.dumps raises ValueError.
+    """
+    return _text(doc, "") + "\n"
+
+
+def _text(x, outer: str) -> str:
+    """x as json.dumps writes it, nested under the indent `outer`."""
+    pad = outer + "  "
+    if isinstance(x, dict):  # json quotes the text of a number, bool or None key
+        parts = [(_encode(k) if isinstance(k, str) else '"' + _scalar(k) + '"') + ": " + v
+                 for k, v in zip(x, _parts(x.values(), pad))]
+        brackets = "{}"
+    elif isinstance(x, (list, tuple)):
+        parts, brackets = _parts(x, pad), "[]"
+    else:
+        return _scalar(x)
+    if not parts:
+        return brackets
+    return brackets[0] + "\n" + pad + (",\n" + pad).join(parts) + "\n" + outer + brackets[1]
+
+
+def _parts(values, pad: str) -> list:
+    # the common leaves are written inline, so only containers and rare
+    # leaves cost a call
+    return [_encode(v) if type(v) is str
+            else float.__repr__(v) if type(v) is float and -_INF < v < _INF
+            else ("true" if v else "false") if type(v) is bool
+            else "null" if v is None
+            else _text(v, pad) for v in values]
+
+
+def _scalar(x) -> str:
+    """A leaf as json.dumps writes it; TypeError where json.dumps raises one."""
+    if isinstance(x, str):
+        return _encode(x)
+    if x is None or x is True or x is False:
+        return "null" if x is None else "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        return (float.__repr__(x) if -_INF < x < _INF
+                else "NaN" if x != x else "Infinity" if x > 0 else "-Infinity")
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def _is_number(x) -> bool:

@@ -28,7 +28,7 @@ from .errors import (
     NotNormalized,
     SnapFailed,
 )
-from .setfn import GroundSet, SetFunction, _increments, _show, _two_point_gains
+from .setfn import GroundSet, SetFunction, _in_range, _increments, _show, _two_point_gains
 
 DEFAULT_TOL = 1e-9
 LOW_BLOCK_CELLS = 243  # 3^5: five binary parties, each at a letter or summed out
@@ -56,7 +56,8 @@ class ApproxSetFunction:
         return self.ground.n
 
     def __getitem__(self, mask: int) -> float:
-        return self.values[mask]
+        """The value on mask; a mask outside 0 .. 2^n - 1 is a ValueError."""
+        return self.values[_in_range("mask", mask, len(self.values), self.n)]
 
 
 @dataclass(frozen=True)

@@ -106,3 +106,16 @@ def test_one_loop_reads_member_labels():
                             and node.func.attr == "index_of" for node in ast.walk(loop))
                     for loop in ast.walk(fn))]
     assert found == ["GroundSet.mask_of"]
+
+
+def test_only_documents_writes_json():
+    # documents.dumps is the one writer, so every output document and the
+    # CLI's stdout share its bytes
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES if path.name != "documents.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+             if isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps")
+             and ast.unparse(node.value) == "json"
+             or isinstance(node, ast.ImportFrom) and node.module == "json"
+             and any(a.name in ("dump", "dumps") for a in node.names)]
+    assert len(SOURCES) >= 10 and found == []

@@ -5,13 +5,13 @@ import json
 import pytest
 
 from quantoid import documents
-from quantoid.entropic import ApproxSetFunction
+from quantoid.entropic import ApproxSetFunction, PureState, von_neumann_entropy_function
 from quantoid.errors import MalformedDocument, MissingSubset
-from quantoid.setfn import GroundSet
+from quantoid.setfn import GroundSet, classify
 from quantoid.sharing import analyze_sharing
-from quantoid.expansion import free_expand_polyquantoid
+from quantoid.expansion import expansion_correspondence_holds, free_expand_polyquantoid
 
-from helpers import bell, e22, uniform
+from helpers import bell, e22, q24, uniform
 
 
 def test_set_function_round_trip():
@@ -44,6 +44,62 @@ def test_dumps_is_canonical_json():
     text = documents.dumps({"a": 1})
     assert text.endswith("\n")
     assert json.loads(text) == {"a": 1}
+
+
+def _json_dumps(doc) -> str:
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+def test_every_document_kind_is_written_as_json_dumps_writes_it():
+    w = (2 ** -0.5, 0.0)
+    state = PureState(GroundSet(("1", "2")), (2, 2), (w[0], w[1], w[1], w[0]))
+    docs = [
+        documents.set_function_to_doc(uniform(2, 4)),
+        documents.approx_set_function_to_doc(von_neumann_entropy_function(state)),
+        documents.sharing_report_to_doc(analyze_sharing(q24(), "1", "polyquantoid")),
+        documents.sharing_report_to_doc(analyze_sharing(uniform(2, 2), "1")),
+        documents.expansion_to_doc(free_expand_polyquantoid(e22())),
+        classify(uniform(2, 4)).as_dict(),
+        {"lemma52": expansion_correspondence_holds(e22())},
+    ]
+    assert docs[2]["extraction"] is not None and docs[3]["extraction"] is None
+    for doc in docs:
+        assert documents.dumps(doc) == _json_dumps(doc)
+
+
+ODD_LABELS = ['"', "\\", "\n", "\t", "\x00", "\u2028", "é", "\U0001d11e", 'a"b\\c\x7f']
+ODD_FLOATS = [-0.0, 5e-324, 1e22, 0.1, float("nan"), float("inf"), float("-inf")]
+
+
+EDGE_CASES = {
+    "empty-dict": {}, "empty-list": [], "empty-tuple": (), "int": 0, "empty-str": "", "null": None,
+    "depth-1": {"a": {}}, "depth-1-list": [[]], "depth-2": {"a": [{"b": []}]},
+    "depth-3": [[[{}]]], "mixed-empties": {"a": [[], {}, [[]]]},
+    "odd-labels": {label: label for label in ODD_LABELS},
+    "odd-label-list": ODD_LABELS,
+    "floats": ODD_FLOATS,
+    "float-tuple": {"x": ODD_FLOATS, "y": tuple(ODD_FLOATS)},
+    "scalars": [10 ** 40, -10 ** 40, True, False, None, (1, ("a", ())), {"t": (True, None)}],
+    "scalar-keys": {2: "int", -2.5: "float", float("nan"): 0, float("inf"): 1,
+                    True: [], False: {}, None: ()},
+}
+
+
+@pytest.mark.parametrize("doc", EDGE_CASES.values(), ids=EDGE_CASES)
+def test_writer_equals_json_dumps_on_edge_cases(doc):
+    assert documents.dumps(doc) == _json_dumps(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    set(), object(), b"x", 1j, [set()], (b"x",), {"a": [1, object()]},
+    {(1, 2): 0}, {"a": {frozenset(): 0}},
+], ids=["set", "object", "bytes", "complex", "set-item", "bytes-item", "object-value",
+        "tuple-key", "frozenset-key"])
+def test_writer_rejects_what_json_rejects(doc):
+    with pytest.raises(TypeError):
+        json.dumps(doc)
+    with pytest.raises(TypeError):
+        documents.dumps(doc)
 
 
 def test_approx_document_carries_tolerance():

@@ -7,6 +7,7 @@ import pytest
 from quantoid import expansion
 from quantoid.correspondence import to_polymatroid
 from quantoid.duality import is_selfdual, is_tight
+from quantoid.entropic import ApproxSetFunction
 from quantoid.errors import (
     DuplicateLabel,
     ExpansionTooLarge,
@@ -161,13 +162,15 @@ def test_mask_readers_reject_what_lies_outside_the_ground_set():
     # the ValueError of GroundSet.key_of, for a mask or an element index
     bmap = free_expand_polyquantoid(e22()).map  # 2 source elements, 4 expanded
     u12 = uniform(1, 2)
+    approx = ApproxSetFunction(u12.ground, (0.0, 1.0, 1.0, 1.5))
     assert adapted_sets(bmap, 15) == (("1", "2"),)
-    assert (bmap.image_mask(3), bmap.block_mask(1), u12[3]) == (15, 12, 1)
+    assert (bmap.image_mask(3), bmap.block_mask(1), u12[3], approx[3]) == (15, 12, 1, 1.5)
     for x in (16, 17, -1):
         _reads_outside(lambda m: adapted_sets(bmap, m), "mask", x, 16, 4)
-    for x in (4, -1):
+    for x in (4, -1, -4):
         _reads_outside(bmap.image_mask, "mask", x, 4, 2)
         _reads_outside(u12.__getitem__, "mask", x, 4, 2)
+        _reads_outside(approx.__getitem__, "mask", x, 4, 2)
     for x in (2, -1):
         _reads_outside(bmap.block_mask, "element", x, 2, 2)
 
