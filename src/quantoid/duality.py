@@ -13,13 +13,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .setfn import SetFunction, _dual, _from_scaled, _selfdual, _tight
+from .setfn import SetFunction, _from_scaled, _tight
 
 
 def dual(f: SetFunction) -> SetFunction:
     """Apply the duality mapping; total on every set function, computed exactly."""
-    a, den = f._scaled_table
-    return _from_scaled(f.ground, _dual(a, f.n), Fraction(1, den))
+    return _from_scaled(f.ground, f._dual_table, Fraction(1, f._scaled_table[1]))
 
 
 def is_tight(f: SetFunction) -> bool:
@@ -29,4 +28,4 @@ def is_tight(f: SetFunction) -> bool:
 
 def is_selfdual(f: SetFunction) -> bool:
     """True when f is a fixed point of the duality mapping (exact comparison)."""
-    return _selfdual(f._scaled_table[0], f.n)
+    return bool((f._dual_table == f._scaled_table[0]).all())

@@ -14,8 +14,18 @@ once, at the end.  The integers are int64 only when the largest
 expression any check or map forms on them fits: the bound is
 max|x| * (4n + 4) < 2**63 (a dual value is three table values plus n
 gains of four).  Otherwise the same code runs on Python ints in an
-object array, so the result is exact either way.  A SetFunction computes
-its table on first use, once per object, and keeps it read-only.
+object array, so the result is exact either way, and one helper, _dtype,
+picks the dtype for every table.
+
+Whole-function results are computed once per SetFunction object, on first
+use, and kept: the scaled table and its dual (both read-only), the
+Classification, and quantoid.sharing's flags, one tuple per kind.  A
+kernel output (an enumerated table, dual, hat, vee, scale, an expansion or
+2-factor) is built by _from_scaled, which hands over the integer table it
+was built from whenever that table is exactly what _scaled would compute
+from the new values: unit 1/q, gcd(q, table) = 1 and the same dtype.
+Units p/q with p != 1, a common factor, or a table on the other side of
+the guard leave the table to _scaled on first use.
 
 _halves is the one split of a table: it gives the views (f(S), f(S+i))
 of the masks S without element i, and every walk over elements or pairs
@@ -226,15 +236,30 @@ class SetFunction:
 
     @functools.cached_property
     def _scaled_table(self) -> tuple[np.ndarray, int]:
-        """_scaled(self.values), computed on first use and read-only."""
+        """_scaled(self.values), computed on first use and read-only.  A
+        kernel output gets it from _from_scaled where the two agree."""
         a, den = _scaled(self.values)
         a.flags.writeable = False
         return a, den
 
     @functools.cached_property
+    def _dual_table(self) -> np.ndarray:
+        """_dual of _scaled_table, over the same den, computed on first use
+        and read-only: dual, is_selfdual and classify's selfdual read it."""
+        d = _dual(self._scaled_table[0], self.n)
+        d.flags.writeable = False
+        return d
+
+    @functools.cached_property
     def _classification(self) -> Classification:
         """_classify(self), computed on first use."""
         return _classify(self)
+
+    @functools.cached_property
+    def _dealer_flags(self) -> dict:
+        """quantoid.sharing's flags of every dealer, one tuple per kind,
+        which sharing computes on first use and keeps here."""
+        return {}
 
     @property
     def n(self) -> int:
@@ -308,26 +333,38 @@ def submasks(mask: int) -> Iterator[int]:
 
 # -- the exact integer kernel ------------------------------------------------
 
-def _scaled(values: Sequence[Fraction]) -> tuple[np.ndarray, int]:
-    """The table times den = lcm of its denominators, as integers, and den.
+def _dtype(ints: Iterable[int], n: int):
+    """The overflow guard: int64 when max|x| * (4n + 4) < 2**63, else object."""
+    return np.int64 if max(map(abs, ints)) * (4 * n + 4) < 2**63 else object
 
-    int64 when max|x| * (4n + 4) < 2**63, else Python ints (dtype=object).
-    """
+
+def _scaled(values: Sequence[Fraction]) -> tuple[np.ndarray, int]:
+    """The table times den = lcm of its denominators, as integers, and den,
+    in _dtype's dtype."""
     den = math.lcm(*{x.denominator for x in values})
     nums = [x.numerator * (den // x.denominator) for x in values]
-    n = len(nums).bit_length() - 1
-    dtype = np.int64 if max(map(abs, nums)) * (4 * n + 4) < 2**63 else object
-    return np.array(nums, dtype=dtype), den
+    return np.array(nums, dtype=_dtype(nums, len(nums).bit_length() - 1)), den
 
 
 def _from_scaled(ground: GroundSet, table: np.ndarray, unit: Fraction) -> SetFunction:
     """The set function with value x * unit on each mask, x read from table.
 
-    Tables repeat values, so each distinct x becomes a Fraction once.
+    Tables repeat values, so each distinct x becomes a Fraction once; the
+    values, one Fraction per mask, skip SetFunction's checks.  When unit is
+    1/q and gcd(q, table) = 1, the table is _scaled(values) with den q; if
+    its dtype is also the one _dtype picks, it becomes the new function's
+    _scaled_table as it is, read-only.
     """
     ints = table.tolist()
-    value = {x: unit * x for x in set(ints)}
-    return SetFunction(ground, tuple(map(value.__getitem__, ints)))
+    distinct = set(ints)
+    p, q = unit.numerator, unit.denominator
+    value = {x: Fraction(x * p, q) for x in distinct}
+    f = object.__new__(SetFunction)
+    f.__dict__.update(ground=ground, values=tuple(map(value.__getitem__, ints)))
+    if p == 1 and math.gcd(q, *distinct) == 1 and table.dtype == _dtype(distinct, ground.n):
+        table.flags.writeable = False
+        f.__dict__["_scaled_table"] = table, q
+    return f
 
 
 def _modular(weights: Sequence, dtype) -> np.ndarray:
@@ -392,10 +429,6 @@ def _dual(a: np.ndarray, n: int) -> np.ndarray:
     return a[::-1] + (a[0] - a[full]) + _modular(gains, a.dtype)
 
 
-def _selfdual(a: np.ndarray, n: int) -> bool:
-    return bool((_dual(a, n) == a).all())
-
-
 @dataclass(frozen=True)
 class Classification:
     """Boolean axiom report for a set function."""
@@ -431,21 +464,27 @@ def _classify(f: SetFunction) -> Classification:
     The table is scaled by the lcm of its denominators (see the module
     docstring for the int64 overflow guard); every linear axiom is checked
     there with one vector comparison per element or pair of elements.
-    Submodularity uses the local two-point criterion.  Only `integer` (the
-    lcm is 1) and the singletons-in-{0, 1} part of matroid and quantoid
-    need the unscaled values.
+    Submodularity uses the local two-point criterion and runs first: on a
+    submodular table, nondecreasing needs only f(N - i) <= f(N) for every
+    i, and the walk over every element runs only for the others.
+    Selfduality compares the table with the cached dual table.  Only
+    `integer` (the lcm is 1) and the singletons-in-{0, 1} part of matroid
+    and quantoid need the unscaled values.
     """
     v = f.values
     n = f.n
     a, den = f._scaled_table
 
     normalized = v[0] == 0
-    nondecreasing = _nondecreasing(a, n)
     submodular = _submodular(a, n)
+    # a submodular f's increments of i shrink as S grows, so the least is at N - i
+    full = len(a) - 1
+    nondecreasing = (all(a[full ^ 1 << i] <= a[full] for i in range(n)) if submodular
+                     else _nondecreasing(a, n))
     complementary = bool((a == a[::-1]).all())  # N-m is full - m
     tight = _tight(a, n)
     integer = den == 1
-    selfdual = _selfdual(a, n)
+    selfdual = bool((f._dual_table == a).all())
     singles_01 = all(v[1 << i] in (0, 1) for i in range(n))
 
     polymatroid = normalized and nondecreasing and submodular
@@ -474,6 +513,9 @@ def scale(f: SetFunction, t) -> SetFunction:
     return _from_scaled(f.ground, a, t / den)
 
 
+_PAIR_PLAN_UP_TO = 10  # C(10, 2) * 2^8 = 11,520 triples
+
+
 def enumerate_rank_functions(kind: str, n: int, cap: int) -> Iterator[SetFunction]:
     """Yield every integer-valued function on n elements with values in [0, cap]
     that satisfies the axioms of `kind` ("polymatroid" or "polyquantoid").
@@ -500,10 +542,19 @@ def enumerate_rank_functions(kind: str, n: int, cap: int) -> Iterator[SetFunctio
     below = [[m ^ 1 << i for i in range(n) if m >> i & 1] for m in range(full + 1)]
     table = [0] * (full + 1)
 
+    def pairs(m: int) -> list:
+        """(x, y, x & y) for every pair x, y of masks one element below m."""
+        return [(x, y, x & y) for x, y in itertools.combinations(below[m], 2)]
+
+    # a walk that revisits masks reads each mask's pairs from one plan (1.2 MB
+    # at 10 elements, 7 MB at 12); a larger walk that finishes runs down about
+    # one path, where a plan would only hold memory, so it forms them per visit
+    plan = list(map(pairs, range(full + 1))) if n <= _PAIR_PLAN_UP_TO else None
+
     def choices(m: int) -> range:
         xs = below[m]  # the masks one element smaller
-        hi = min([cap] + [table[x] + table[y] - table[x & y]
-                          for x, y in itertools.combinations(xs, 2)])
+        hi = min([cap] + [table[x] + table[y] - table[z]
+                          for x, y, z in (plan[m] if plan else pairs(m))])
         if kind == POLYMATROID:
             return range(max(map(table.__getitem__, xs)), hi + 1)
         # Araki-Lieb: e(S) >= |e(S - i) - e(i)|, with S - i = x and {i} = m ^ x;

@@ -7,14 +7,24 @@ import random
 import numpy as np
 import pytest
 
+from quantoid import setfn
 from quantoid.correspondence import to_polymatroid, to_polyquantoid
 from quantoid.duality import dual, is_selfdual, is_tight
-from quantoid.setfn import _scaled, classify, enumerate_rank_functions, from_table, scale
+from quantoid.expansion import free_expand_polymatroid, free_expand_polyquantoid, two_factor
+from quantoid.setfn import (
+    SetFunction,
+    _scaled,
+    classify,
+    enumerate_rank_functions,
+    from_table,
+    scale,
+)
 
 from helpers import (
     classify_loops,
     dual_loops,
     labels_for,
+    q24,
     random_rational_polymatroid,
     scale_loops,
     to_polymatroid_loops,
@@ -137,3 +147,98 @@ def test_matroid_just_under_the_bound_stays_int64():
     assert _scaled(rank.values)[0].dtype == np.int64
     c = assert_matches_loops(rank)
     assert c.polymatroid and c.tight and not c.selfdual
+
+
+# -- kernel outputs keep their table ------------------------------------------------
+
+def guard_cases():
+    """Tables on either side of the int64 guard, and one with an lcm past it."""
+    primes = (2**61 - 1, 2**31 - 1, 1_000_000_007)
+    return [from_table(labels_for(3), [-top, top, top, -top, top, -top, -top, top])
+            for top in (2**59 - 1, 2**59, 2**70)] + [
+        from_table(labels_for(3), [sum((Fraction(1, p) for i, p in enumerate(primes)
+                                        if m >> i & 1), Fraction(0)) for m in range(8)]),
+        scale(uniform(2, 3), 2**58 - 1), scale(uniform(2, 3), Fraction(2**70 + 1, 3))]
+
+
+def kernel_outputs(f):
+    """Every SetFunction the kernel builds from f's table: the dual, both
+    correspondence maps, and scales by units with p = 1 and p != 1."""
+    return [dual(f), to_polymatroid(f), to_polyquantoid(f)] + [
+        scale(f, t) for t in (1, 2, Fraction(1, 3), Fraction(2, 7), Fraction(3, 2))]
+
+
+def assert_table_is_scaled(g):
+    """g's kept table equals _scaled(g.values); returns whether it was handed over."""
+    handed = "_scaled_table" in vars(g)
+    a, den = g._scaled_table
+    b, den2 = _scaled(g.values)
+    assert (a.tolist(), den, a.dtype) == (b.tolist(), den2, b.dtype)
+    assert not a.flags.writeable
+    assert all(type(v) is Fraction for v in g.values)
+    assert g == SetFunction(g.ground, g.values)
+    return handed
+
+
+def test_handed_off_tables_equal_scaled():
+    handed = {}
+    fns = [f for name in sorted(CORPORA) for f in corpus_with_perturbations(name)] + guard_cases()
+    for f in fns:
+        for g in kernel_outputs(f):
+            kept = assert_table_is_scaled(g)
+            handed.setdefault((kept, g._scaled_table[0].dtype == object), g)
+    # handed over and left to _scaled, on int64 and on Python-int tables
+    assert set(handed) == {(True, False), (True, True), (False, False), (False, True)}
+
+
+def test_enumerated_and_expanded_functions_carry_their_table():
+    e, h = q24(), scale(uniform(2, 4), 2)
+    outputs = [*enumerate_rank_functions("polymatroid", 3, 2),
+               *enumerate_rank_functions("polyquantoid", 4, 2),
+               free_expand_polyquantoid(e).expanded_fn, free_expand_polymatroid(h).expanded_fn,
+               two_factor(h).expanded_fn, to_polymatroid(e), dual(h)]
+    assert all(assert_table_is_scaled(g) for g in outputs)
+
+
+def test_each_function_is_dualized_once(monkeypatch):
+    calls = []
+    real = setfn._dual
+
+    def counting(a, n):
+        calls.append(a)
+        return real(a, n)
+
+    monkeypatch.setattr(setfn, "_dual", counting)
+    for f in (q24(), scale(uniform(2, 4), Fraction(3, 2)), guard_cases()[2]):
+        calls.clear()
+        assert classify(f).selfdual == is_selfdual(f)
+        d = dual(f)
+        assert dual(f) == d and is_selfdual(f) == classify(f).selfdual
+        assert len(calls) == 1 and calls[0] is f._scaled_table[0]
+        assert d._scaled_table[0] is f._dual_table  # the output keeps it as its table
+        with pytest.raises(ValueError):
+            f._dual_table[0] = 1
+
+
+# -- monotonicity from submodularity --------------------------------------------------
+
+def test_nondecreasing_from_submodularity_equals_loops():
+    # submodular tables, monotone or not (a polymatroid less a modular
+    # function); monotone ones that are not (plus |S|^2); and random tables,
+    # nearly all of them not submodular
+    rng = random.Random(2020)
+    fns = []
+    for n in range(6):
+        for _ in range(12):
+            h = random_rational_polymatroid(rng, n) if n else from_table([], [0])
+            weights = [rng.choice((0, Fraction(1, 2), 1, 3)) for _ in range(n)]
+            fns.append(from_table(h.labels, [v - sum(w for i, w in enumerate(weights) if m >> i & 1)
+                                             for m, v in enumerate(h.values)]))
+            fns.append(from_table(h.labels, [v + m.bit_count() ** 2 for m, v in enumerate(h.values)]))
+            fns.append(from_table(labels_for(n), [rng.randint(-2, 3) for _ in range(1 << n)]))
+    seen = set()
+    for f in fns:
+        c = classify(f)
+        assert c == classify_loops(f)
+        seen.add((c.submodular, c.nondecreasing))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}

@@ -324,6 +324,72 @@ def test_kernel_equals_loop_oracles():
             assert access_from_circuits(r, dealer) == access_from_circuits_loops(r, dealer)
 
 
+def test_batched_flags_equal_the_loop_oracle():
+    # the kernel's rows for every dealer at once, for two dealers in reverse
+    # order, and for one dealer (the path past the batching rule) agree, with
+    # n = 8 and n = 9 on either side of that rule
+    rng = random.Random(20)
+    cases = _kernel_corpus() + [(random_rational_polymatroid(rng, n), "polymatroid")
+                                for n in (8, 9) for _ in range(2)]
+    cases = [(f, kind) for f, kind in cases if f.n]  # no dealer on no elements
+    assert {f.n for f, _ in cases} >= {1, 8, 9}
+    assert any(f._scaled_table[0].dtype == object for f, _ in cases)
+    for f, kind in cases:
+        quantum = kind == "polyquantoid"
+        rows = sharing._flag_rows(f, range(f.n), quantum)
+        assert len(rows) == f.n
+        for i, flags in enumerate(rows):
+            assert flags[:5] == sharing_flags_loops(f, 1 << i, quantum)
+            assert flags == sharing._sharing_flags(f, 1 << i, quantum)
+        if f.n >= 2:
+            assert sharing._flag_rows(f, [f.n - 1, 0], quantum) == (rows[-1], rows[0])
+
+
+def test_each_function_gets_one_flag_pass_per_kind(monkeypatch):
+    passes = []
+    real = sharing._flag_rows
+
+    def counting(f, dealers, quantum):
+        passes.append((f, list(dealers), quantum))
+        return real(f, dealers, quantum)
+
+    monkeypatch.setattr(sharing, "_flag_rows", counting)
+    e = q24()
+    for dealer in e.labels:
+        assert analyze_sharing(e, dealer, "polyquantoid").ideal
+        extract_selfdual_matroid(e, dealer)
+    assert passes == [(e, [0, 1, 2, 3], True)]
+
+    # the zero function is both kinds: one pass for each kind it is asked as
+    passes.clear()
+    z = zero_fn(3)
+    for kind in ("polymatroid", "polyquantoid", "polymatroid"):
+        for dealer in z.labels:
+            analyze_sharing(z, dealer, kind)
+    assert passes == [(z, [0, 1, 2], False), (z, [0, 1, 2], True)]
+
+    rng = random.Random(8)
+    f8, f9 = (random_rational_polymatroid(rng, n) for n in (8, 9))
+    for f in (f8, f9):
+        passes.clear()
+        for dealer in f.labels[:3] * 2:
+            analyze_sharing(f, dealer)
+        # past eight elements each request flags only its own dealer
+        assert passes == ([(f8, list(range(8)), False)] if f is f8
+                          else [(f9, [i], False) for i in (0, 1, 2) * 2])
+    assert f9._dealer_flags == {}
+
+
+def test_coalition_rows_stack_every_dealer():
+    for n in range(9):
+        rows = sharing._coalition_rows(n)
+        assert rows.shape == (n, (1 << n) // 2)
+        assert [row.tolist() for row in rows] == [sharing._coalitions(n, 1 << i).tolist()
+                                                  for i in range(n)]
+        with pytest.raises(ValueError, match="read-only"):
+            rows[...] = 0
+
+
 def test_plans_equal_a_per_mask_build():
     for n in range(9):
         below, smaller = sharing._one_smaller(n)
@@ -342,7 +408,7 @@ def test_plans_are_read_only():
 
 
 def test_each_plan_is_built_once_per_key(monkeypatch):
-    built = {"_one_smaller": [], "_coalitions": []}
+    built = {"_one_smaller": [], "_coalitions": [], "_coalition_rows": []}
     for name, keys in built.items():
         def counting(*key, real=getattr(sharing, name).__wrapped__, keys=keys):
             keys.append(key)
@@ -357,9 +423,10 @@ def test_each_plan_is_built_once_per_key(monkeypatch):
     for dealer in r.labels:
         access_from_circuits(r, dealer)
     # the flags read one size below the function, the circuits the rank's
-    # own size; access_from_circuits reuses the flags' coalitions
+    # own size; access_from_circuits reads its rows of the flags' coalitions
     assert built == {"_one_smaller": [(3,), (4,)],
-                     "_coalitions": [(4, 1), (4, 2), (4, 4), (4, 8)]}
+                     "_coalitions": [(4, 1), (4, 2), (4, 4), (4, 8)],
+                     "_coalition_rows": [(4,)]}
 
 
 def test_extracted_rank_is_a_matroid():
@@ -423,11 +490,11 @@ def test_each_function_is_scaled_once(monkeypatch):
     free_expand_polymatroid(r)
     assert len(calls) == 1 and calls[0] is r.values
 
-    # each dealer's extraction scales its own to_polymatroid partner once
+    # each dealer's extraction reads its to_polymatroid partner's table as
+    # _from_scaled handed it over, so no partner is scaled from its values
     calls.clear()
     assert all(analyze_sharing(e, dealer, "polyquantoid").ideal for dealer in e.labels)
-    assert sum(v is e.values for v in calls) == 1
-    assert len({id(v) for v in calls}) == len(calls) == 1 + e.n
+    assert len(calls) == 1 and calls[0] is e.values
 
 
 def test_each_function_is_classified_once(monkeypatch):
