@@ -117,7 +117,13 @@ def _table_doc(ground: GroundSet, values) -> dict:
 
 
 def set_function_to_doc(f: SetFunction) -> dict:
-    return _table_doc(f.ground, _texts(f.values))
+    """The set-function document of f, read off its integer table: one int
+    per distinct value, so str runs once per distinct value, not once per
+    mask.  A function without its table yet is scaled first."""
+    ints = f._scaled_table[0].tolist()
+    distinct = dict(zip(ints, f.values))
+    text = dict(zip(distinct, _texts(distinct.values())))
+    return _table_doc(f.ground, map(text.__getitem__, ints))
 
 
 def set_function_from_doc(doc) -> SetFunction:

@@ -28,7 +28,15 @@ from .errors import (
     NotNormalized,
     SnapFailed,
 )
-from .setfn import GroundSet, SetFunction, _in_range, _increments, _show, _two_point_gains
+from .setfn import (
+    GroundSet,
+    SetFunction,
+    _gathered,
+    _in_range,
+    _increments,
+    _show,
+    _two_point_gains,
+)
 
 DEFAULT_TOL = 1e-9
 LOW_BLOCK_CELLS = 243  # 3^5: five binary parties, each at a letter or summed out
@@ -256,7 +264,8 @@ def snap_to_rational(f: ApproxSetFunction, max_denominator: int) -> SetFunction:
 
     Fails if any value sits farther than the function's tolerance from its
     snap target; the message names the first such value, then the worst
-    residual and its subset.
+    residual and its subset.  The result carries its integer table from
+    the start: only the distinct targets are scaled, as setfn.build does.
     """
     try:
         cap = operator.index(max_denominator)
@@ -277,7 +286,8 @@ def snap_to_rational(f: ApproxSetFunction, max_denominator: int) -> SetFunction:
             f"{{{f.ground.key_of(first)}}}: {f.values[first]!r} is not within {f.tol} of a "
             f"rational with denominator <= {cap}; worst residual "
             f"{largest!r} at {{{f.ground.key_of(worst)}}}")
-    return SetFunction(f.ground, tuple(map(target.__getitem__, f.values)))
+    slot = {v: i for i, v in enumerate(target)}
+    return _gathered(f.ground, list(target.values()), list(map(slot.__getitem__, f.values)))
 
 
 def is_approx_polymatroid(f: ApproxSetFunction) -> bool:

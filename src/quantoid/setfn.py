@@ -19,13 +19,19 @@ picks the dtype for every table.
 
 Whole-function results are computed once per SetFunction object, on first
 use, and kept: the scaled table and its dual (both read-only), the
-Classification, and quantoid.sharing's flags, one tuple per kind.  A
-kernel output (an enumerated table, dual, hat, vee, scale, an expansion or
-2-factor) is built by _from_scaled, which hands over the integer table it
-was built from whenever that table is exactly what _scaled would compute
-from the new values: unit 1/q, gcd(q, table) = 1 and the same dtype.
-Units p/q with p != 1, a common factor, or a table on the other side of
-the guard leave the table to _scaled on first use.
+Classification, and quantoid.sharing's flags, one tuple per kind.  The
+integer table runs from parse to print.  A parsed function (build) and a
+snapped one (quantoid.entropic.snap_to_rational) carry it from the start:
+_gathered scales only their distinct values and gathers the table from
+them.  A kernel output (an enumerated table, dual, hat, vee, scale, an
+expansion or 2-factor) is built by _from_scaled, which hands over the
+integer table it was built from whenever that table is exactly what
+_scaled would compute from the new values: unit 1/q, gcd(q, table) = 1
+and the same dtype.  Units p/q with p != 1, a common factor, or a table
+on the other side of the guard leave the table to _scaled on first use,
+as does a function built by from_table or SetFunction.  Equality and
+quantoid.documents' printing read the table, so printing calls str once
+per distinct value.
 
 _halves is the one split of a table: it gives the views (f(S), f(S+i))
 of the masks S without element i, and every walk over elements or pairs
@@ -273,6 +279,19 @@ class SetFunction:
     def full_mask(self) -> int:
         return self.ground.full_mask
 
+    def __eq__(self, other):
+        """Equal ground sets, then equal den and integer table: equal values
+        scale to the same den and table, so this is (ground, values) ==
+        (other.ground, other.values), without a Fraction comparison per
+        mask.  Another type gives NotImplemented.  The hash stays the
+        dataclass hash of (ground, values)."""
+        if not isinstance(other, SetFunction):
+            return NotImplemented
+        if self.ground != other.ground:
+            return False
+        (a, den), (b, den2) = self._scaled_table, other._scaled_table
+        return den == den2 and bool((a == b).all())
+
     def __getitem__(self, mask: int) -> Fraction:
         """The value on mask; a mask outside 0 .. 2^n - 1 is a ValueError."""
         return self.values[_in_range("mask", mask, len(self.values), self.n)]
@@ -292,28 +311,31 @@ def build(labels: Sequence, values: Mapping) -> SetFunction:
     Every one of the 2^n canonical keys must be present; floats are rejected.
     The keys are read in mask order, and the first bad one is named.  Each
     distinct value string is parsed once; a value of any other type (1, 1.0
-    and True compare equal) is read on its own, every time.
+    and True compare equal) is read on its own, every time.  The function
+    carries its integer table from the start: only the distinct parsed
+    values are scaled, and the table is gathered from them (see _gathered).
     """
     ground = GroundSet(labels)
-    canonical = ground.subset_keys()
-    parsed: dict[str, Fraction] = {}
-    table = []
-    for key in canonical:
+    slot: dict[str, int] = {}  # each distinct value string -> its place in parsed
+    parsed: list[Fraction] = []
+    index = []
+    for key in ground._subset_keys:
         if key not in values:
             raise MissingSubset(key)
         value = values[key]
-        try:
-            if type(value) is not str:
-                x = as_rational(value)
-            elif (x := parsed.get(value)) is None:
-                x = parsed[value] = as_rational(value)
-        except MalformedRational as exc:
-            raise MalformedRational(f"{key!r}: {exc}") from None
-        table.append(x)
-    if len(values) != len(canonical):
-        extras = sorted(set(values) - set(canonical))
+        if type(value) is not str or (i := slot.get(value)) is None:
+            try:
+                parsed.append(as_rational(value))
+            except MalformedRational as exc:
+                raise MalformedRational(f"{key!r}: {exc}") from None
+            i = len(parsed) - 1
+            if type(value) is str:
+                slot[value] = i
+        index.append(i)
+    if len(values) != len(index):
+        extras = sorted(set(values) - set(ground._subset_keys))
         raise UnknownSubsetKey(repr(extras[0]))
-    return SetFunction(ground, tuple(table))
+    return _gathered(ground, parsed, index)
 
 
 def from_table(labels: Sequence, values: Iterable) -> SetFunction:
@@ -338,12 +360,36 @@ def _dtype(ints: Iterable[int], n: int):
     return np.int64 if max(map(abs, ints)) * (4 * n + 4) < 2**63 else object
 
 
-def _scaled(values: Sequence[Fraction]) -> tuple[np.ndarray, int]:
-    """The table times den = lcm of its denominators, as integers, and den,
-    in _dtype's dtype."""
+def _scaled(values: Sequence[Fraction], n: int | None = None) -> tuple[np.ndarray, int]:
+    """The values times den = lcm of their denominators, as integers, and
+    den, in _dtype's dtype for n elements: by default the n of a whole
+    table of 2^n values."""
     den = math.lcm(*{x.denominator for x in values})
     nums = [x.numerator * (den // x.denominator) for x in values]
-    return np.array(nums, dtype=_dtype(nums, len(nums).bit_length() - 1)), den
+    n = len(nums).bit_length() - 1 if n is None else n
+    return np.array(nums, dtype=_dtype(nums, n)), den
+
+
+def _handed(ground: GroundSet, values: tuple, table: np.ndarray | None, den: int) -> SetFunction:
+    """The set function with these values, which must be Fractions, built
+    without SetFunction's checks; table, when given, must be
+    _scaled(values) with this den, and becomes its _scaled_table,
+    read-only."""
+    f = object.__new__(SetFunction)
+    f.__dict__.update(ground=ground, values=values)
+    if table is not None:
+        table.flags.writeable = False
+        f.__dict__["_scaled_table"] = table, den
+    return f
+
+
+def _gathered(ground: GroundSet, distinct: list, index: list) -> SetFunction:
+    """The set function with value distinct[index[m]] on each mask m,
+    handed its table: only the distinct Fractions are scaled, and the
+    table is gathered from them.  den is the lcm of their reduced
+    denominators, so gcd(den, table) = 1, as in _scaled(values)."""
+    nums, den = _scaled(distinct, ground.n)
+    return _handed(ground, tuple(map(distinct.__getitem__, index)), nums.take(index), den)
 
 
 def _from_scaled(ground: GroundSet, table: np.ndarray, unit: Fraction) -> SetFunction:
@@ -359,12 +405,8 @@ def _from_scaled(ground: GroundSet, table: np.ndarray, unit: Fraction) -> SetFun
     distinct = set(ints)
     p, q = unit.numerator, unit.denominator
     value = {x: Fraction(x * p, q) for x in distinct}
-    f = object.__new__(SetFunction)
-    f.__dict__.update(ground=ground, values=tuple(map(value.__getitem__, ints)))
-    if p == 1 and math.gcd(q, *distinct) == 1 and table.dtype == _dtype(distinct, ground.n):
-        table.flags.writeable = False
-        f.__dict__["_scaled_table"] = table, q
-    return f
+    kept = p == 1 and math.gcd(q, *distinct) == 1 and table.dtype == _dtype(distinct, ground.n)
+    return _handed(ground, tuple(map(value.__getitem__, ints)), table if kept else None, q)
 
 
 def _modular(weights: Sequence, dtype) -> np.ndarray:

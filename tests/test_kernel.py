@@ -9,11 +9,14 @@ import pytest
 
 from quantoid import setfn
 from quantoid.correspondence import to_polymatroid, to_polyquantoid
+from quantoid.documents import _texts, set_function_to_doc
 from quantoid.duality import dual, is_selfdual, is_tight
+from quantoid.entropic import ApproxSetFunction, snap_to_rational
 from quantoid.expansion import free_expand_polymatroid, free_expand_polyquantoid, two_factor
 from quantoid.setfn import (
     SetFunction,
     _scaled,
+    build,
     classify,
     enumerate_rank_functions,
     from_table,
@@ -218,6 +221,74 @@ def test_each_function_is_dualized_once(monkeypatch):
         assert d._scaled_table[0] is f._dual_table  # the output keeps it as its table
         with pytest.raises(ValueError):
             f._dual_table[0] = 1
+
+
+# -- parsed and snapped functions carry their table; printing and equality read it ---
+
+ENCODINGS = {  # how a document or a caller may spell each value
+    "str": str,
+    "int": lambda v: int(v) if v.denominator == 1 else str(v),
+    "fraction": lambda v: v,
+}
+
+
+def table_corpus():
+    return [f for name in sorted(CORPORA) for f in corpus_with_perturbations(name)] + guard_cases()
+
+
+@pytest.mark.parametrize("encoding", sorted(ENCODINGS))
+def test_parsed_functions_carry_their_table(encoding):
+    dtypes = set()
+    for f in table_corpus():
+        g = build(f.labels, dict(zip(f.ground.subset_keys(), map(ENCODINGS[encoding], f.values))))
+        assert assert_table_is_scaled(g)
+        assert g.values == f.values
+        dtypes.add(g._scaled_table[0].dtype)
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+
+
+def test_snapped_functions_carry_their_table():
+    dtypes = set()
+    for f in table_corpus():
+        approx = ApproxSetFunction(f.ground, tuple(map(float, f.values)))
+        cap = max(x.denominator for x in f.values)
+        g = snap_to_rational(approx, cap)
+        assert assert_table_is_scaled(g)
+        # the per-value snap the table replaced
+        assert g.values == tuple(Fraction(v).limit_denominator(cap) for v in approx.values)
+        dtypes.add(g._scaled_table[0].dtype)
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+
+
+def test_printing_equals_str_of_every_value():
+    user = from_table(labels_for(2), [0, Fraction(1, 2), Fraction(-3, 4), Fraction(1, 2)])
+    assert "_scaled_table" not in vars(user)
+    kept = set()
+    for g in [user] + [h for f in table_corpus() for h in [f, *kernel_outputs(f)]]:
+        kept.add("_scaled_table" in vars(g))
+        doc = set_function_to_doc(g)
+        assert doc == {"ground_set": list(g.labels),
+                       "values": dict(zip(g.ground.subset_keys(), _texts(g.values)))}
+    assert kept == {True, False}  # tables handed over, and tables scaled to print
+
+
+def test_equality_equals_comparing_values():
+    fns = small_corpus() + guard_cases() + [
+        from_table(["a"], [0, 1]), uniform(2, 3), scale(uniform(2, 3), Fraction(1, 2)),
+        scale(uniform(2, 3), 2**70)]
+    # the same values again: user-built with no table, and parsed
+    everything = fns + [SetFunction(f.ground, f.values) for f in fns] + [
+        build(f.labels, f.table()) for f in fns]
+    for f in everything:
+        for g in everything:
+            same = (f.ground, f.values) == (g.ground, g.values)
+            assert (f == g) is same and (f != g) is not same
+            if same:
+                assert hash(f) == hash(g)
+    f = uniform(1, 1)
+    assert f.__eq__(1) is NotImplemented and f.__eq__(f.values) is NotImplemented
+    assert not f == 1 and f != 1 and not 1 == f
+    assert f != ApproxSetFunction(f.ground, (0.0, 1.0))
 
 
 # -- monotonicity from submodularity --------------------------------------------------
