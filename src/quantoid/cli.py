@@ -5,6 +5,13 @@ JSON (see quantoid.documents for the formats).  Exit codes: 0 on success
 (for `share`, the dealer is ideal; for `expand --verify-lemma52`, the
 cross-check holds), 1 for an analyzable-but-negative verdict, 2 on any
 input or validation error.  Outputs are deterministic byte for byte.
+
+Start-up loads only what a command runs.  This module imports argparse,
+json, sys and quantoid.errors; each command imports the library modules it
+calls when it runs, and main imports the document writer after parsing.
+So --help and a usage error load no numpy, and check, dual, hat and vee
+load documents, setfn, duality and correspondence but not sharing,
+expansion or entropic, which share, expand and entropy load on their own.
 """
 
 from __future__ import annotations
@@ -13,24 +20,12 @@ import argparse
 import json
 import sys
 
-from . import documents
-from .correspondence import to_polymatroid, to_polyquantoid
-from .duality import dual
-from .entropic import shannon_entropy_function, snap_to_rational, von_neumann_entropy_function
 from .errors import MalformedDocument, QuantoidError
-from .expansion import (
-    expansion_correspondence_holds,
-    free_expand_polymatroid,
-    free_expand_polyquantoid,
-    two_factor,
-)
-from .setfn import POLYMATROID, POLYQUANTOID, classify
-from .sharing import analyze_sharing
 
-_TRANSFORMS = {
-    "dual": dual,
-    "hat": to_polymatroid,
-    "vee": to_polyquantoid,
+_TRANSFORMS = {  # op -> (module, function), read when the op runs
+    "dual": ("duality", "dual"),
+    "hat": ("correspondence", "to_polymatroid"),
+    "vee": ("correspondence", "to_polyquantoid"),
 }
 
 
@@ -42,17 +37,37 @@ def _read_json(path: str):
             raise MalformedDocument(str(exc)) from None
 
 
+def _exact_function(args):
+    """The set function of args.file, read after loading every module that
+    check, dual, hat or vee calls: documents, setfn, duality and
+    correspondence.  The four load one set, so a process that has run any
+    of them has loaded what the others call (perfbench's traced run wraps
+    the functions of the modules loaded when a unit starts)."""
+    from . import correspondence, documents, duality, setfn  # noqa: F401
+
+    return documents.set_function_from_doc(_read_json(args.file))
+
+
 def _cmd_check(args) -> tuple:
-    f = documents.set_function_from_doc(_read_json(args.file))
-    return classify(f).as_dict(), 0
+    from .setfn import classify
+
+    return classify(_exact_function(args)).as_dict(), 0
 
 
 def _cmd_transform(args) -> tuple:
-    f = documents.set_function_from_doc(_read_json(args.file))
-    return documents.set_function_to_doc(_TRANSFORMS[args.op](f)), 0
+    from importlib import import_module
+
+    from .documents import set_function_to_doc
+
+    f = _exact_function(args)
+    module, name = _TRANSFORMS[args.op]
+    return set_function_to_doc(getattr(import_module(f".{module}", __package__), name)(f)), 0
 
 
 def _cmd_share(args) -> tuple:
+    from . import documents
+    from .sharing import analyze_sharing
+
     f = documents.set_function_from_doc(_read_json(args.file))
     report = analyze_sharing(f, args.dealer, args.kind)
     return documents.sharing_report_to_doc(report), 0 if report.ideal else 1
@@ -61,27 +76,31 @@ def _cmd_share(args) -> tuple:
 def _cmd_expand(args) -> tuple:
     if (args.mode is not None) == args.verify_lemma52:
         raise QuantoidError("expand takes exactly one of --mode and --verify-lemma52")
+    from . import documents, expansion
+
     f = documents.set_function_from_doc(_read_json(args.file))
     if args.verify_lemma52:
-        verdict = expansion_correspondence_holds(f)
+        verdict = expansion.expansion_correspondence_holds(f)
         return {"lemma52": verdict}, 0 if verdict else 1
     builder = {
-        "matroid": free_expand_polymatroid,
-        "quantoid": free_expand_polyquantoid,
-        "two-factor": two_factor,
+        "matroid": expansion.free_expand_polymatroid,
+        "quantoid": expansion.free_expand_polyquantoid,
+        "two-factor": expansion.two_factor,
     }[args.mode]
     return documents.expansion_to_doc(builder(f)), 0
 
 
 def _cmd_entropy(args) -> tuple:
+    from . import documents, entropic
+
     if args.classical:
         dist = documents.distribution_from_doc(_read_json(args.classical))
-        fn = shannon_entropy_function(dist)
+        fn = entropic.shannon_entropy_function(dist)
     else:
         state = documents.pure_state_from_doc(_read_json(args.quantum))
-        fn = von_neumann_entropy_function(state)
+        fn = entropic.von_neumann_entropy_function(state)
     if args.snap is not None:
-        return documents.set_function_to_doc(snap_to_rational(fn, args.snap)), 0
+        return documents.set_function_to_doc(entropic.snap_to_rational(fn, args.snap)), 0
     return documents.approx_set_function_to_doc(fn), 0
 
 
@@ -109,7 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("share", help="per-dealer secret-sharing analysis")
     p.add_argument("file")
     p.add_argument("--dealer", required=True)
-    p.add_argument("--kind", choices=[POLYMATROID, POLYQUANTOID], default=POLYMATROID)
+    # setfn.POLYMATROID and setfn.POLYQUANTOID, spelled out so that parsing loads no numpy
+    p.add_argument("--kind", choices=["polymatroid", "polyquantoid"], default="polymatroid")
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(handler=_cmd_share)
 
@@ -137,7 +157,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         doc, code = args.handler(args)
-        text = documents.dumps(doc)
+        from .documents import dumps
+
+        text = dumps(doc)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text)

@@ -16,12 +16,15 @@ from __future__ import annotations
 
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from .entropic import ApproxSetFunction, JointDistribution, PureState, _numbers
 from .errors import InvalidLabel, MalformedDocument, NotNormalized, ValueTooLarge
-from .expansion import Expansion
 from .setfn import GroundSet, SetFunction, build
-from .sharing import SharingReport
+
+if TYPE_CHECKING:  # annotations only: a command loads the one module it runs
+    from .entropic import ApproxSetFunction, JointDistribution, PureState
+    from .expansion import Expansion
+    from .sharing import SharingReport
 
 
 _encode = json.encoder.encode_basestring  # C; what json.dumps uses with ensure_ascii=False
@@ -137,6 +140,8 @@ def approx_set_function_to_doc(f: ApproxSetFunction) -> dict:
 
 
 def distribution_from_doc(doc) -> JointDistribution:
+    from .entropic import JointDistribution
+
     parties = GroundSet(_labels(_field(doc, "parties", list)))
     alphabets = _field(doc, "alphabets", list)
     probs = _field(doc, "probs", list)
@@ -146,6 +151,8 @@ def distribution_from_doc(doc) -> JointDistribution:
 
 
 def pure_state_from_doc(doc) -> PureState:
+    from .entropic import PureState, _numbers
+
     parties = GroundSet(_labels(_field(doc, "parties", list)))
     dims = _field(doc, "dims", list)
     raw = _field(doc, "amplitudes", list)

@@ -25,11 +25,11 @@ snapped one (quantoid.entropic.snap_to_rational) carry it from the start:
 _gathered scales only their distinct values and gathers the table from
 them.  A kernel output (an enumerated table, dual, hat, vee, scale, an
 expansion or 2-factor) is built by _from_scaled, which hands over the
-integer table it was built from whenever that table is exactly what
-_scaled would compute from the new values: unit 1/q, gcd(q, table) = 1
-and the same dtype.  Units p/q with p != 1, a common factor, or a table
-on the other side of the guard leave the table to _scaled on first use,
-as does a function built by from_table or SetFunction.  Equality and
+integer table it was built from whenever its unit is 1/q: divided by
+g = gcd(q, table), that table is exactly what _scaled would compute from
+the new values.  Units p/q with p != 1, and a table with g = 1 on the
+other side of the guard, leave the table to _scaled on first use, as
+does a function built by from_table or SetFunction.  Equality and
 quantoid.documents' printing read the table, so printing calls str once
 per distinct value.
 
@@ -397,16 +397,24 @@ def _from_scaled(ground: GroundSet, table: np.ndarray, unit: Fraction) -> SetFun
 
     Tables repeat values, so each distinct x becomes a Fraction once; the
     values, one Fraction per mask, skip SetFunction's checks.  When unit is
-    1/q and gcd(q, table) = 1, the table is _scaled(values) with den q; if
-    its dtype is also the one _dtype picks, it becomes the new function's
-    _scaled_table as it is, read-only.
+    1/q and g = gcd(q, table), table // g is _scaled(values) with den
+    q // g, and it becomes the new function's _scaled_table, read-only:
+    for g > 1 in the dtype _dtype picks for its values, and for g = 1 as
+    it is, if its dtype is the one _dtype picks.
     """
     ints = table.tolist()
     distinct = set(ints)
     p, q = unit.numerator, unit.denominator
     value = {x: Fraction(x * p, q) for x in distinct}
-    kept = p == 1 and math.gcd(q, *distinct) == 1 and table.dtype == _dtype(distinct, ground.n)
-    return _handed(ground, tuple(map(value.__getitem__, ints)), table if kept else None, q)
+    values = tuple(map(value.__getitem__, ints))
+    if p != 1:
+        table = None
+    elif (g := math.gcd(q, *distinct)) > 1:
+        q, distinct = q // g, {x // g for x in distinct}
+        table = (table // g).astype(_dtype(distinct, ground.n), copy=False)
+    elif table.dtype != _dtype(distinct, ground.n):
+        table = None
+    return _handed(ground, values, table, q)
 
 
 def _modular(weights: Sequence, dtype) -> np.ndarray:

@@ -33,6 +33,7 @@ from helpers import (
     to_polymatroid_loops,
     to_polyquantoid_loops,
     uniform,
+    zero_fn,
 )
 
 SCALES = (Fraction(3), Fraction(2, 7))
@@ -201,6 +202,23 @@ def test_enumerated_and_expanded_functions_carry_their_table():
                free_expand_polyquantoid(e).expanded_fn, free_expand_polymatroid(h).expanded_fn,
                two_factor(h).expanded_fn, to_polymatroid(e), dual(h)]
     assert all(assert_table_is_scaled(g) for g in outputs)
+
+
+def test_outputs_over_a_common_factor_carry_their_reduced_table():
+    # unit 1/q over a table that shares a factor g with q: hat(vee(U_{k,2k}))
+    # has unit 1/2 over an even table, and so have half an even table and
+    # vee of the zero function; each keeps table // g over den q // g, in
+    # int64 even where the table it came from was a Python-int one
+    even = from_table(labels_for(3), [2 * m.bit_count() for m in range(8)])
+    wide = from_table(labels_for(3), [0] + [2**59] * 7)  # past the guard until halved
+    assert wide._scaled_table[0].dtype == object
+    hats = [to_polymatroid(to_polyquantoid(uniform(k, 2 * k))) for k in range(1, 8)]
+    halves = [scale(f, Fraction(1, 2)) for f in (even, wide)]
+    zeros = [g for n in (0, 1, 3)
+             for g in (to_polyquantoid(zero_fn(n)), scale(zero_fn(n), Fraction(1, 2)))]
+    assert all(assert_table_is_scaled(g) for g in hats + halves + zeros)
+    assert hats[-1] == uniform(7, 14) and hats[-1]._scaled_table[1] == 1
+    assert halves[1]._scaled_table[0].dtype == np.int64
 
 
 def test_each_function_is_dualized_once(monkeypatch):
