@@ -23,7 +23,7 @@ def dual(f: SetFunction) -> SetFunction:
 
 def is_tight(f: SetFunction) -> bool:
     """True when dropping any single element does not change the total value."""
-    return _tight(f.values, f.n)
+    return _tight(f._scaled_table[0], f.n)
 
 
 def is_selfdual(f: SetFunction) -> bool:

@@ -87,7 +87,7 @@ class JointDistribution:
         object.__setattr__(self, "probs", probs)
         if any(p < 0 for p in probs):
             raise InvalidDistribution("negative mass")
-        total = math.fsum(probs)
+        total = _total(probs)
         if abs(total - 1.0) > DEFAULT_TOL:
             raise InvalidDistribution(f"total mass {total!r} is not 1")
 
@@ -113,7 +113,7 @@ class PureState:
                 f"expected {math.prod(dims)} amplitudes, got {len(self.amplitudes)}")
         amps = _numbers(self.amplitudes, complex, NotNormalized, "amplitude")
         object.__setattr__(self, "amplitudes", amps)
-        norm2 = math.fsum(abs(a) ** 2 for a in amps)
+        norm2 = _total(abs(a) ** 2 for a in amps)
         if abs(norm2 - 1.0) > DEFAULT_TOL:
             raise NotNormalized(f"squared norm {norm2!r} is not 1")
 
@@ -137,6 +137,16 @@ def _numbers(raw, kind: type, error: type, what: str) -> tuple:
     if not finite:
         raise error(f"non-finite {what}")
     return out
+
+
+def _total(terms) -> float:
+    """math.fsum of the terms, or inf when they pass the float range:
+    finite floats can, as a square (** past about 1.3e154) or as a sum,
+    and both raise OverflowError there."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
 
 
 def _sizes_per_party(raw, n: int, error: type, message: str) -> tuple:

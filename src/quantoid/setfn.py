@@ -8,28 +8,46 @@ corresponds to bit i, so the whole function is a dense table of length
 Whole-table work runs on one exact integer kernel.  Every axiom is a
 homogeneous linear test on the table, and the duality and correspondence
 maps are linear, so the table is multiplied by den, the lcm of its
-denominators, and computed on as integers with numpy vector operations,
-one per element or pair of elements; results turn back into Fractions
-once, at the end.  The integers are int64 only when the largest
-expression any check or map forms on them fits: the bound is
-max|x| * (4n + 4) < 2**63 (a dual value is three table values plus n
-gains of four).  Otherwise the same code runs on Python ints in an
-object array, so the result is exact either way, and one helper, _dtype,
-picks the dtype for every table.
+denominators, and computed on as integers with numpy vector operations;
+results turn back into Fractions once, at the end.  The integers are
+int64 only when the largest expression any check or map forms on them
+fits: the bound is max|x| * (4n + 4) < 2**63 (a dual value is three
+table values plus n gains of four).  Otherwise the same code runs on
+Python ints in an object array, so the result is exact either way, and
+one helper, _dtype, picks the dtype for every table.
+
+One size rule, _GATHER_UP_TO = 8 elements, picks how the increments
+f(S + i) - f(S) are read.  A table of at most 8 elements is worked on
+whole, one numpy call per job: its increment table, inc[i, k] = the gain
+of i at the k-th mask without i, is one gather; classify's
+submodularity, monotonicity and tightness are tests on it, every
+dealer's sharing flags read its rows, and a modular sum (the dual's,
+hat's and vee's) is one product with the membership matrix.  A larger
+table walks, one vector operation per element or pair of elements
+through _halves, which is the faster way from 12 elements up (classify
+by gather against walk, one CPU: 0.9 against 0.4 ms at n = 12, 30-39
+against 4.5-4.7 ms at n = 16).  The dual's per-element gains are one
+gather of the singleton and co-singleton masks at every size.  The index
+plans the gathers read (_coalition_rows, _coalitions, _one_smaller,
+_singleton_masks) depend only on n; each is built on first use, once per
+n, and kept read-only, here for quantoid.sharing too.  Over every size
+0..16 they hold at most about 26 MB: 17.7 MB of _one_smaller (9.4 MB at
+n = 16) and 7.9 MB of _coalition_rows, of which _coalitions is a view.
 
 Whole-function results are computed once per SetFunction object, on first
-use, and kept: the scaled table and its dual (both read-only), the
-Classification, and quantoid.sharing's flags, one tuple per kind.  The
-integer table runs from parse to print.  A parsed function (build) and a
-snapped one (quantoid.entropic.snap_to_rational) carry it from the start:
-_gathered scales only their distinct values and gathers the table from
-them.  A kernel output (an enumerated table, dual, hat, vee, scale, an
-expansion or 2-factor) is built by _from_scaled, which hands over the
-integer table it was built from whenever its unit is 1/q: divided by
-g = gcd(q, table), that table is exactly what _scaled would compute from
-the new values.  Units p/q with p != 1, and a table with g = 1 on the
-other side of the guard, leave the table to _scaled on first use, as
-does a function built by from_table or SetFunction.  Equality and
+use, and kept: the scaled table, its dual and, up to 8 elements, its
+increment table (all read-only), the Classification, and
+quantoid.sharing's flags, one tuple per kind.  The integer table runs
+from parse to print.  A parsed function (build) and a snapped one
+(quantoid.entropic.snap_to_rational) carry it from the start: _gathered
+scales only their distinct values and gathers the table from them.  A
+kernel output (an enumerated table, dual, hat, vee, scale, an expansion
+or 2-factor) is built by _from_scaled, which hands over the integer
+table it was built from whenever its unit is 1/q: divided by g = gcd(q,
+table), that table is exactly what _scaled would compute from the new
+values.  Units p/q with p != 1, and a table with g = 1 on the other side
+of the guard, leave the table to _scaled on first use, as does a
+function built by from_table or SetFunction.  Equality and
 quantoid.documents' printing read the table, so printing calls str once
 per distinct value.
 
@@ -257,6 +275,18 @@ class SetFunction:
         return d
 
     @functools.cached_property
+    def _increment_table(self) -> np.ndarray:
+        """inc[i, k] = a[rows[i, k] | 1 << i] - a[rows[i, k]] on the integer
+        table a, with rows = _coalition_rows(n): the gain of element i at
+        the k-th mask without i.  Built on first use, in one gather, and
+        read-only; classify and quantoid.sharing's flags read it for
+        tables of at most _GATHER_UP_TO elements."""
+        a = self._scaled_table[0]
+        inc = _gains(a, _coalition_rows(self.n), _singleton_masks(self.n)[0])
+        inc.flags.writeable = False
+        return inc
+
+    @functools.cached_property
     def _classification(self) -> Classification:
         """_classify(self), computed on first use."""
         return _classify(self)
@@ -417,8 +447,68 @@ def _from_scaled(ground: GroundSet, table: np.ndarray, unit: Fraction) -> SetFun
     return _handed(ground, values, table, q)
 
 
+# tables of at most this many elements are worked on whole, one gather or
+# product per job, and larger ones walk (see the module docstring)
+_GATHER_UP_TO = 8
+
+
+@functools.cache
+def _coalition_rows(n: int) -> np.ndarray:
+    """Row i holds the masks without bit i, ascending: a table's order along
+    element i's axis.  Built once per n and read-only."""
+    masks = np.arange(1 << n)
+    rows = np.array([_halves(masks, 1 << i)[0].ravel() for i in range(n)],
+                    dtype=masks.dtype).reshape(n, len(masks) // 2)
+    rows.flags.writeable = False
+    return rows
+
+
+@functools.cache
+def _coalitions(n: int, dealer_bit: int) -> np.ndarray:
+    """The masks without the dealer bit, ascending: its row of
+    _coalition_rows(n), a read-only view."""
+    return _coalition_rows(n)[dealer_bit.bit_length() - 1]
+
+
+@functools.cache
+def _one_smaller(n: int) -> tuple:
+    """below[m, i] is mask m without element i, for every mask m over n
+    elements; smaller[m, i] says whether i was in m, so smaller is also
+    the membership matrix of the masks.  Built once per n and read-only."""
+    masks = np.arange(1 << n)
+    below = masks[:, None] & ~(1 << np.arange(n))
+    smaller = below != masks[:, None]
+    below.flags.writeable = smaller.flags.writeable = False
+    return below, smaller
+
+
+@functools.cache
+def _singleton_masks(n: int) -> np.ndarray:
+    """Row 0 holds the singletons 1 << i, row 1 the co-singletons N - i,
+    for every element i.  Built once per n and read-only."""
+    bits = 1 << np.arange(n)
+    masks = np.array([bits, ((1 << n) - 1) ^ bits])
+    masks.flags.writeable = False
+    return masks
+
+
+def _gains(a: np.ndarray, rows: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """Row k: f(S + i) - f(S) with i the element of bits[k], for S over
+    rows[k], the masks without i: one gather of each side."""
+    return a.take(rows | bits[:, None]) - a.take(rows)
+
+
+def _top_gains(a: np.ndarray, n: int) -> np.ndarray:
+    """f(N) - f(N - i) for every element i."""
+    return a[-1] - a.take(_singleton_masks(n)[1])
+
+
 def _modular(weights: Sequence, dtype) -> np.ndarray:
-    """For every subset mask, the sum of its members' weights, by doubling."""
+    """For every subset mask, the sum of its members' weights: one product
+    with the membership matrix for an int64 table of at most _GATHER_UP_TO
+    elements, by doubling otherwise."""
+    if dtype == np.int64 and len(weights) <= _GATHER_UP_TO:
+        return _one_smaller(len(weights))[1] @ np.asarray(weights, dtype=np.int64)
     sums = np.zeros(1, dtype=dtype)
     for w in weights:
         sums = np.concatenate((sums, sums + w))
@@ -426,7 +516,7 @@ def _modular(weights: Sequence, dtype) -> np.ndarray:
 
 
 def _singleton_sums(a: np.ndarray, n: int) -> np.ndarray:
-    return _modular([a[1 << i] for i in range(n)], a.dtype)
+    return _modular(a.take(_singleton_masks(n)[0]), a.dtype)
 
 
 def _halves(a: np.ndarray, stride: int) -> tuple[np.ndarray, np.ndarray]:
@@ -466,17 +556,15 @@ def _submodular(a: np.ndarray, n: int) -> bool:
     return all((at_sc <= at_s).all() for at_sc, at_s in _two_point_gains(a, n))
 
 
-def _tight(v: Sequence, n: int) -> bool:
-    full = (1 << n) - 1
-    return all(v[full ^ (1 << i)] == v[full] for i in range(n))
+def _tight(a: np.ndarray, n: int) -> bool:
+    return bool((_top_gains(a, n) == 0).all())
 
 
 def _dual(a: np.ndarray, n: int) -> np.ndarray:
     # f'(I) = f(N-I) + f({}) - f(N) + sum over i in I of
     # [f(i) - f({}) + f(N) - f(N-i)]; N-I is the reversed table
-    full = len(a) - 1
-    gains = [a[1 << i] - a[0] + a[full] - a[full ^ (1 << i)] for i in range(n)]
-    return a[::-1] + (a[0] - a[full]) + _modular(gains, a.dtype)
+    singles, co_singles = a.take(_singleton_masks(n))
+    return a[::-1] + (a[0] - a[-1]) + _modular(singles - a[0] + a[-1] - co_singles, a.dtype)
 
 
 @dataclass(frozen=True)
@@ -512,27 +600,36 @@ def _classify(f: SetFunction) -> Classification:
     """Compute every axiom flag, exactly, on the integer-scaled table.
 
     The table is scaled by the lcm of its denominators (see the module
-    docstring for the int64 overflow guard); every linear axiom is checked
-    there with one vector comparison per element or pair of elements.
-    Submodularity uses the local two-point criterion and runs first: on a
-    submodular table, nondecreasing needs only f(N - i) <= f(N) for every
-    i, and the walk over every element runs only for the others.
-    Selfduality compares the table with the cached dual table.  Only
-    `integer` (the lcm is 1) and the singletons-in-{0, 1} part of matroid
-    and quantoid need the unscaled values.
+    docstring for the int64 overflow guard).  Submodularity is the local
+    two-point criterion: the gain of i at S is at least its gain at S + j.
+    For 0 < n <= _GATHER_UP_TO it is one comparison of the increment table
+    with itself one element below; past that, one vector comparison per
+    pair of elements.  On a submodular table, nondecreasing needs only
+    f(N - i) <= f(N) for every i; other tables test every gain.  Tight is
+    f(N - i) == f(N).  Selfduality compares the table with the cached dual
+    table.  Only `integer` (the lcm is 1) and the singletons-in-{0, 1} part
+    of matroid and quantoid need the unscaled values.
     """
     v = f.values
     n = f.n
     a, den = f._scaled_table
 
     normalized = v[0] == 0
-    submodular = _submodular(a, n)
-    # a submodular f's increments of i shrink as S grows, so the least is at N - i
-    full = len(a) - 1
-    nondecreasing = (all(a[full ^ 1 << i] <= a[full] for i in range(n)) if submodular
-                     else _nondecreasing(a, n))
+    gathered = 0 < n <= _GATHER_UP_TO
+    if gathered:
+        # below[k, j] is k without j, or k itself, where the test holds trivially
+        inc = f._increment_table
+        submodular = bool((inc.take(_one_smaller(n - 1)[0], axis=1) >= inc[:, :, None]).all())
+        top = inc[:, -1]  # the last mask without i is N - i
+    else:
+        submodular = _submodular(a, n)
+        top = _top_gains(a, n)
+    if submodular:  # a submodular f's gains of i shrink as S grows: the least is at N - i
+        nondecreasing = bool((top >= 0).all())
+    else:
+        nondecreasing = bool((inc >= 0).all()) if gathered else _nondecreasing(a, n)
     complementary = bool((a == a[::-1]).all())  # N-m is full - m
-    tight = _tight(a, n)
+    tight = bool((top == 0).all())
     integer = den == 1
     selfdual = bool((f._dual_table == a).all())
     singles_01 = all(v[1 << i] in (0, 1) for i in range(n))

@@ -8,32 +8,26 @@ the second value are *authorized*.  A participant is *essential* when some
 authorized coalition stops being authorized without it, and the dealer is
 *ideal* when every participant is essential and carries the dealer's rank.
 
-The flags come from the dealer's increment on SetFunction._scaled_table,
-the integer table classify also reads: a[coalitions | dealer] -
-a[coalitions] gives it on every coalition, in ascending order, and each
-flag compares it, or compares every coalition with those one element
-smaller.  One pass flags a batch of dealers, every array with one row per
-dealer.  On a validated function the increment never grows as a
-coalition grows (submodularity) and never falls below the authorized
-value, so the authorized family is upward closed: a coalition is minimal
-exactly when no coalition one element smaller is authorized.  Circuits,
-the minimal dependent sets, are found the same way.
+The flags come from the dealer's increment h(dealer+I) - h(I) on every
+coalition I, in ascending order, on the integer table classify also
+reads, and each flag compares it, or compares every coalition with
+those one element smaller.  One pass flags a batch of dealers, every
+array with one row per dealer.  On a validated function the increment
+never grows as a coalition grows (submodularity) and never falls below
+the authorized value, so the authorized family is upward closed: a
+coalition is minimal exactly when no coalition one element smaller is
+authorized.  Circuits, the minimal dependent sets, are found the same way.
 
+The batching follows quantoid.setfn's one size rule, _GATHER_UP_TO = 8.
 analyze_sharing (and the extractions) flag every dealer of a function
-with at most 8 elements in one pass on the first request, and keep the
-flags on the SetFunction, one tuple per kind (at most 2 * 8 * 128 masks a
-kind); a larger function flags only the requested dealer, each time.  On
-one CPU, a pass over all five dealers at n = 5 takes about a third of the
-time of five one-dealer passes, and at n = 8 about 0.4 of it; the limit
-keeps what a request for one dealer pays for the others near 0.15 ms (at
-n = 8; at n = 12 it would be about 3 ms).
-
-The index plans these comparisons read, _one_smaller(n) and
-_coalition_rows(n), whose row i is _coalitions(n, 1 << i), depend only on
-n, so each is built on first use, once per n, and kept read-only.  Over
-every size 0..16 the cached plans hold at most about 26 MB: 17.7 MB of
-_one_smaller (9.4 MB at n = 16, 4.4 MB at n = 15) and 7.9 MB of
-_coalition_rows; _coalitions is a view of it.
+with at most 8 elements in one pass on the first request, reading the
+dealers' rows of the function's increment table (the one classify
+built), and keep the flags on the SetFunction, one tuple per kind (at
+most 2 * 8 * 128 masks a kind).  A larger function gathers the increment
+of the requested dealer alone, and flags it, each time: building its
+whole table would cost n rows per request, and at n = 12 a pass over
+every dealer about 3 ms.  The index plans (_one_smaller, _coalition_rows,
+_coalitions, _singleton_masks) live in quantoid.setfn, built once per n.
 Coalitions are named through GroundSet.members, which reads the ground
 set's cached subset keys.
 
@@ -44,7 +38,6 @@ polyquantoids the matroid is additionally tight and selfdual.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -55,12 +48,18 @@ import numpy as np
 from .correspondence import to_polymatroid
 from .errors import NotAMatroid, NotIdeal, NotOfKind
 from .setfn import (
+    _GATHER_UP_TO,
     POLYMATROID,
     POLYQUANTOID,
     SetFunction,
+    _coalition_rows,
+    _coalitions,
+    _gains,
     _halves,
     _increments,
+    _one_smaller,
     _show,
+    _singleton_masks,
     classify,
     scale,
 )
@@ -99,51 +98,20 @@ class _Flags(NamedTuple):
     imperfect: int | None  # first coalition whose increment is neither allowed value
 
 
-# analyze_sharing flags every dealer of a function with at most this many
-# elements in one pass, on its first request, and keeps the flags
-_FLAG_ALL_UP_TO = 8
-
-
-@functools.cache
-def _coalition_rows(n: int) -> np.ndarray:
-    """Row i holds the masks without bit i, ascending: a table's order along
-    element i's axis.  Built once per n and read-only."""
-    masks = np.arange(1 << n)
-    rows = np.array([_halves(masks, 1 << i)[0].ravel() for i in range(n)],
-                    dtype=masks.dtype).reshape(n, len(masks) // 2)
-    rows.flags.writeable = False
-    return rows
-
-
-@functools.cache
-def _coalitions(n: int, dealer_bit: int) -> np.ndarray:
-    """The masks without the dealer bit, ascending: its row of
-    _coalition_rows(n), a read-only view."""
-    return _coalition_rows(n)[dealer_bit.bit_length() - 1]
-
-
-@functools.cache
-def _one_smaller(n: int) -> tuple:
-    """below[m, i] is mask m without element i, for every mask m over n
-    elements; smaller[m, i] says whether i was in m.  Built once per n and
-    read-only."""
-    masks = np.arange(1 << n)
-    below = masks[:, None] & ~(1 << np.arange(n))
-    smaller = below != masks[:, None]
-    below.flags.writeable = smaller.flags.writeable = False
-    return below, smaller
-
-
 def _flag_rows(f: SetFunction, dealers: Sequence[int], quantum: bool) -> tuple:
     """The _Flags of each dealer index in dealers, in one pass: every array
     has a leading axis with one row per dealer."""
     a, _ = f._scaled_table
     n = f.n
-    rows = list(dealers)
+    rows = np.array(list(dealers), dtype=np.int64)
     coalitions = _coalition_rows(n)[rows]
-    bits = 1 << np.array(rows, dtype=coalitions.dtype)
-    secret = a[bits][:, None]
-    inc = a[coalitions | bits[:, None]] - a[coalitions]  # each dealer's increment
+    singletons = _singleton_masks(n)[0]
+    singles = a.take(singletons)
+    secret = singles[rows][:, None]
+    # each dealer's increment: its rows of the function's table, or past the
+    # limit, where that table would cost n rows, a gather of its own rows
+    inc = (f._increment_table[rows] if n <= _GATHER_UP_TO
+           else _gains(a, coalitions, singletons[rows]))
     authorized = inc == (-secret if quantum else 0)
     full_info = inc == secret
     allowed = authorized | full_info
@@ -155,14 +123,14 @@ def _flag_rows(f: SetFunction, dealers: Sequence[int], quantum: bool) -> tuple:
     below, smaller = _one_smaller(n - 1)
     minimal = authorized & ~(authorized.take(below, axis=1) & smaller).any(axis=2)
     hits = (authorized[:, :, None] & smaller & full_info.take(below, axis=1)).any(axis=1)
-    same = (a[1 << np.arange(n)] == secret).all(axis=1)  # singletons equal the secret
+    same = (singles == secret).all(axis=1)  # singletons equal the secret
     ideal = perfect & hits.all(axis=1) & same
     return tuple(
         _Flags(perf, tuple(masks[auth].tolist()), tuple(masks[mini].tolist()),
                tuple(compress([j for j in range(n) if j != i], hit)), ok,
                None if perf else int(masks[at]))
         for i, masks, auth, mini, hit, perf, ok, at in zip(
-            rows, coalitions, authorized, minimal, hits.tolist(),
+            rows.tolist(), coalitions, authorized, minimal, hits.tolist(),
             perfect.tolist(), ideal.tolist(), first.tolist()))
 
 
@@ -200,7 +168,7 @@ def _validated_flags(f: SetFunction, dealer, kind: str) -> tuple:
         raise NotOfKind(f"not a {kind}")
     idx = f.ground.index_of(dealer)
     quantum = kind == POLYQUANTOID
-    if f.n > _FLAG_ALL_UP_TO:
+    if f.n > _GATHER_UP_TO:
         return idx, _sharing_flags(f, 1 << idx, quantum)
     if (every := f._dealer_flags.get(kind)) is None:
         every = f._dealer_flags[kind] = _flag_rows(f, range(f.n), quantum)

@@ -10,7 +10,15 @@ import numpy as np
 
 from quantoid.entropic import ApproxSetFunction, _entropy_of, reduced_spectrum
 from quantoid.expansion import QUANTOID_EXPANSION, TWO_FACTOR, adapted_sets
-from quantoid.setfn import Classification, GroundSet, SetFunction, from_table, submasks
+from quantoid.setfn import (
+    Classification,
+    GroundSet,
+    SetFunction,
+    enumerate_rank_functions,
+    from_table,
+    scale,
+    submasks,
+)
 from quantoid.sharing import MatroidStructure
 
 
@@ -71,6 +79,25 @@ def random_rational_polymatroid(rng: random.Random, n: int) -> SetFunction:
         for m in range(size):
             table[m] += w * min((m & area).bit_count(), r)
     return from_table(labels_for(n), table)
+
+
+def kernel_corpus():
+    """(function, kind) pairs: every enumerated polymatroid (n <= 3 with
+    cap 3, n = 4 with cap 2) and polyquantoid (n <= 5, cap 2), random
+    rational polymatroids with n <= 8, more tables with n = 1, and three
+    whose values are past the int64 guard, so the kernel runs on Python ints."""
+    cases = [(f, kind) for kind, n, cap in [("polymatroid", n, 3) for n in range(4)]
+             + [("polymatroid", 4, 2)] + [("polyquantoid", n, 2) for n in range(6)]
+             for f in enumerate_rank_functions(kind, n, cap)]
+    rng = random.Random(2012)
+    cases += [(random_rational_polymatroid(rng, n), "polymatroid")
+              for n in range(1, 9) for _ in range(3)]
+    cases += [(from_table(["1"], values), "polymatroid")
+              for values in ([0, 0], [0, 1], [0, Fraction(5, 3)])]
+    cases += [(scale(uniform(2, 4), Fraction(2**70 + 1, 3)), "polymatroid"),
+              (scale(from_table(["1", "2"], [0, 2, 1, 2]), 2**70), "polymatroid"),
+              (scale(q24(), 2**70), "polyquantoid")]
+    return cases
 
 
 def enumerate_rank_functions_unpruned(kind, n, cap):

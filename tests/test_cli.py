@@ -254,6 +254,11 @@ OUT_OF_RANGE = {  # name: (command, document text, error)
                   '"amplitudes": [[1' + "0" * 400 + ", 0], [0, 0]]}", "NotNormalized"),
     "5001-digits": (["check"], '{"ground_set": [], "values": {"": 1' + "0" * 5000 + "}}",
                     "MalformedDocument"),
+    # finite numbers whose sum, or square, passes the float range
+    "probability-sum": (["entropy", "--classical"], '{"parties": ["a", "b"], "alphabets": [2, 2], '
+                        '"probs": [1e308, 1e308, 0, 0]}', "InvalidDistribution"),
+    "amplitude-square": (["entropy", "--quantum"], '{"parties": ["a"], "dims": [2], '
+                         '"amplitudes": [[1e200, 0], [0, 0]]}', "NotNormalized"),
 }
 
 

@@ -72,7 +72,7 @@ ANY_JSON = st.recursive(
     SCALARS, lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.text(max_size=4), inner, max_size=4), max_leaves=12)
 REPLACEMENTS = st.sampled_from([
-    10**400, -10**400, *RAW, 2**63, True, False, None, 0, -1, 1.5, float("nan"),
+    10**400, -10**400, *RAW, 2**63, True, False, None, 0, -1, 1.5, float("nan"), 1e200, 1.7e308,
     "", "x", "a\nb", "\ud800", "1/0", "1e400", "-1/3", [], {}, [[0, 0]],
 ])
 
@@ -148,6 +148,10 @@ def _run(argv):
                + b', 0], [0, 0]]}'))
 @example(case=(["check", FILE],
                b'{"ground_set": [], "values": {"": 1' + b"0" * 5000 + b'}}'))
+@example(case=(["entropy", "--quantum", FILE],
+               b'{"parties": ["a"], "dims": [2], "amplitudes": [[1e200, 0], [0, 0]]}'))
+@example(case=(["entropy", "--classical", FILE],
+               b'{"parties": ["a", "b"], "alphabets": [2, 2], "probs": [1e308, 1e308, 0, 0]}'))
 @example(case=(["share", FILE, "--dealer", "1"], _text(SET_FUNCTIONS[3])))
 @example(case=(["share", FILE, "--dealer", "1\n2"], _text(SET_FUNCTIONS[2])))
 @example(case=(["dual", FILE, OUT], _text({"ground_set": ["\ud800"],

@@ -573,6 +573,16 @@ def test_readers_reject_numbers_beyond_the_float_range():
         PureState(ONE, (2,), (10**400, 0))
 
 
+def test_finite_numbers_whose_total_passes_the_float_range_are_rejected():
+    # each number is finite, but 1e200 ** 2 and 1e308 + 1e308 are past the range
+    with pytest.raises(InvalidDistribution, match=r"^total mass inf is not 1$"):
+        JointDistribution(two_parties(), (2, 2), (1e308, 1e308, 0, 0))
+    with pytest.raises(NotNormalized, match=r"^squared norm inf is not 1$"):
+        PureState(ONE, (2,), (1e200, 0))
+    with pytest.raises(NotNormalized, match=r"^squared norm inf is not 1$"):
+        PureState(ONE, (2,), (1e154 + 1e154j, 0))
+
+
 def test_snap_failure_names_first_value_and_worst_residual():
     f = ApproxSetFunction(two_parties(), (0.0, 0.1, 0.4, 1.0))
     with pytest.raises(SnapFailed) as info:

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from quantoid import setfn
+from quantoid import setfn, sharing
 from quantoid.correspondence import to_polymatroid, to_polyquantoid
 from quantoid.documents import _texts, set_function_to_doc
 from quantoid.duality import dual, is_selfdual, is_tight
@@ -15,6 +15,8 @@ from quantoid.entropic import ApproxSetFunction, snap_to_rational
 from quantoid.expansion import free_expand_polymatroid, free_expand_polyquantoid, two_factor
 from quantoid.setfn import (
     SetFunction,
+    _GATHER_UP_TO,
+    _modular,
     _scaled,
     build,
     classify,
@@ -26,10 +28,13 @@ from quantoid.setfn import (
 from helpers import (
     classify_loops,
     dual_loops,
+    kernel_corpus,
     labels_for,
+    modular_sums_loops,
     q24,
     random_rational_polymatroid,
     scale_loops,
+    sharing_flags_loops,
     to_polymatroid_loops,
     to_polyquantoid_loops,
     uniform,
@@ -331,3 +336,54 @@ def test_nondecreasing_from_submodularity_equals_loops():
         assert c == classify_loops(f)
         seen.add((c.submodular, c.nondecreasing))
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+# -- one increment table per small function --------------------------------------------
+
+def gather_corpus():
+    """Functions on both sides of the gather limit: the sharing kernel
+    corpus and the guard cases, each also perturbed; the zero function and
+    a uniform matroid at n = 0, 1, 8 and 9; random n = 6, 8 and 9
+    polymatroids, each also perturbed."""
+    rng = random.Random(23)
+    fns = [f for f, _ in kernel_corpus()] + guard_cases()
+    fns += [g for n in (0, 1, 8, 9) for g in (zero_fn(n), uniform(n // 2, n))]
+    fns += [random_rational_polymatroid(rng, n) for n in (6, 6, 8, 8, 9)]
+    return fns + [perturbed(f, rng) for f in fns]
+
+
+def test_increment_table_classify_dual_and_flags_equal_loops():
+    seen = set()
+    for f in gather_corpus():
+        n = f.n
+        a = f._scaled_table[0]
+        c = classify(f)
+        assert c == classify_loops(f) and is_tight(f) == c.tight
+        # only a table within the limit reads (and so builds) its increments
+        gathered = 0 < n <= _GATHER_UP_TO
+        assert ("_increment_table" in vars(f)) == gathered
+        seen.add((n, a.dtype == object, c.submodular, c.nondecreasing))
+
+        inc, t = f._increment_table, a.tolist()  # the oracles add Python ints
+        assert inc.dtype == a.dtype and not inc.flags.writeable
+        assert inc.tolist() == [[t[m | 1 << i] - t[m] for m in range(1 << n) if not m >> i & 1]
+                                for i in range(n)]
+
+        full = len(t) - 1
+        gains = [t[1 << i] - t[0] + t[full] - t[full ^ 1 << i] for i in range(n)]
+        assert f._dual_table.tolist() == [t[full ^ m] + t[0] - t[full] + s
+                                          for m, s in enumerate(modular_sums_loops(gains))]
+        if a.dtype == np.int64:  # the membership product against the doubling
+            weights = a[1 << np.arange(n)]
+            product = _modular(weights, a.dtype)
+            assert product.dtype == np.int64
+            assert product.tolist() == _modular(weights.astype(object), object).tolist() \
+                == modular_sums_loops(weights.tolist())
+
+        if n:  # no dealer on no elements
+            rows = sharing._flag_rows(f, range(n), c.polyquantoid)
+            assert [row[:5] for row in rows] == [sharing_flags_loops(f, 1 << i, c.polyquantoid)
+                                                 for i in range(n)]
+    assert {s[0] for s in seen} == set(range(10))
+    assert {s[1:] for s in seen} == {(dtype, sub, mono) for dtype in (False, True)
+                                     for sub in (False, True) for mono in (False, True)}

@@ -30,6 +30,7 @@ from helpers import (
     bell,
     e22,
     ghz3,
+    kernel_corpus,
     labels_for,
     matroid_structure_loops,
     minimal_by_submasks,
@@ -272,25 +273,6 @@ def test_minimal_coalitions_match_submask_walk():
             assert flags.minimal == minimal_by_submasks(flags.authorized)
 
 
-def _kernel_corpus():
-    """(function, kind) pairs: every enumerated polymatroid (n <= 3 with
-    cap 3, n = 4 with cap 2) and polyquantoid (n <= 5, cap 2), random
-    rational polymatroids with n <= 8, more tables with n = 1, and three
-    whose values are past the int64 guard, so the kernel runs on Python ints."""
-    cases = [(f, kind) for kind, n, cap in [("polymatroid", n, 3) for n in range(4)]
-             + [("polymatroid", 4, 2)] + [("polyquantoid", n, 2) for n in range(6)]
-             for f in enumerate_rank_functions(kind, n, cap)]
-    rng = random.Random(2012)
-    cases += [(random_rational_polymatroid(rng, n), "polymatroid")
-              for n in range(1, 9) for _ in range(3)]
-    cases += [(from_table(["1"], values), "polymatroid")
-              for values in ([0, 0], [0, 1], [0, Fraction(5, 3)])]
-    cases += [(scale(uniform(2, 4), Fraction(2**70 + 1, 3)), "polymatroid"),
-              (scale(from_table(["1", "2"], [0, 2, 1, 2]), 2**70), "polymatroid"),
-              (scale(q24(), 2**70), "polyquantoid")]
-    return cases
-
-
 REASONS = ("is not perfect", "is not essential", "has value")
 
 
@@ -298,7 +280,7 @@ def test_kernel_equals_loop_oracles():
     extract = {"polymatroid": extract_matroid, "polyquantoid": extract_selfdual_matroid}
     matroids = [uniform(k, n) for n in range(9) for k in range(n + 1)]
     reasons = set()
-    for f, kind in _kernel_corpus():
+    for f, kind in kernel_corpus():
         quantum = kind == "polyquantoid"
         if classify(f).matroid:
             matroids.append(f)
@@ -329,7 +311,7 @@ def test_batched_flags_equal_the_loop_oracle():
     # order, and for one dealer (the path past the batching rule) agree, with
     # n = 8 and n = 9 on either side of that rule
     rng = random.Random(20)
-    cases = _kernel_corpus() + [(random_rational_polymatroid(rng, n), "polymatroid")
+    cases = kernel_corpus() + [(random_rational_polymatroid(rng, n), "polymatroid")
                                 for n in (8, 9) for _ in range(2)]
     cases = [(f, kind) for f, kind in cases if f.n]  # no dealer on no elements
     assert {f.n for f, _ in cases} >= {1, 8, 9}
