@@ -22,13 +22,6 @@ import sys
 
 from .errors import MalformedDocument, QuantoidError
 
-_TRANSFORMS = {  # op -> (module, function), read when the op runs
-    "dual": ("duality", "dual"),
-    "hat": ("correspondence", "to_polymatroid"),
-    "vee": ("correspondence", "to_polyquantoid"),
-}
-
-
 def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
         try:
@@ -55,13 +48,13 @@ def _cmd_check(args) -> tuple:
 
 
 def _cmd_transform(args) -> tuple:
-    from importlib import import_module
-
-    from .documents import set_function_to_doc
+    from . import correspondence, documents, duality
 
     f = _exact_function(args)
-    module, name = _TRANSFORMS[args.op]
-    return set_function_to_doc(getattr(import_module(f".{module}", __package__), name)(f)), 0
+    # read off the modules when the op runs, so a wrapper put there is called
+    transform = {"dual": duality.dual, "hat": correspondence.to_polymatroid,
+                 "vee": correspondence.to_polyquantoid}[args.op]
+    return documents.set_function_to_doc(transform(f)), 0
 
 
 def _cmd_share(args) -> tuple:
@@ -163,7 +156,10 @@ def main(argv=None) -> int:
         if args.out:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text)
-        else:
+        elif hasattr(sys.stdout, "buffer"):  # the file's UTF-8, whatever the locale
+            sys.stdout.flush()
+            sys.stdout.buffer.write(text.encode("utf-8"))
+        else:  # a text stream with no bytes beneath it, such as io.StringIO
             sys.stdout.write(text)
         return code
     except (QuantoidError, OSError) as exc:

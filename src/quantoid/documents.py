@@ -122,7 +122,7 @@ def _table_doc(ground: GroundSet, values) -> dict:
 def set_function_to_doc(f: SetFunction) -> dict:
     """The set-function document of f, read off its integer table: one int
     per distinct value, so str runs once per distinct value, not once per
-    mask.  A function without its table yet is scaled first."""
+    mask.  Every function carries that table from the moment it exists."""
     ints = f._scaled_table[0].tolist()
     distinct = dict(zip(ints, f.values))
     text = dict(zip(distinct, _texts(distinct.values())))

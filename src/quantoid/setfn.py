@@ -28,28 +28,28 @@ through _halves, which is the faster way from 12 elements up (classify
 by gather against walk, one CPU: 0.9 against 0.4 ms at n = 12, 30-39
 against 4.5-4.7 ms at n = 16).  The dual's per-element gains are one
 gather of the singleton and co-singleton masks at every size.  The index
-plans the gathers read (_coalition_rows, _coalitions, _one_smaller,
-_singleton_masks) depend only on n; each is built on first use, once per
-n, and kept read-only, here for quantoid.sharing too.  Over every size
-0..16 they hold at most about 26 MB: 17.7 MB of _one_smaller (9.4 MB at
-n = 16) and 7.9 MB of _coalition_rows, of which _coalitions is a view.
+plans the gathers read (_coalition_rows, _one_smaller, _singleton_masks)
+depend only on n; each is built on first use, once per n, and kept
+read-only, here for quantoid.sharing too.  Over every size 0..16 they
+hold at most about 26 MB: 17.7 MB of _one_smaller (9.4 MB at n = 16) and
+7.9 MB of _coalition_rows, whose row i is the coalitions of dealer i.
 
-Whole-function results are computed once per SetFunction object, on first
-use, and kept: the scaled table, its dual and, up to 8 elements, its
-increment table (all read-only), the Classification, and
-quantoid.sharing's flags, one tuple per kind.  The integer table runs
-from parse to print.  A parsed function (build) and a snapped one
-(quantoid.entropic.snap_to_rational) carry it from the start: _gathered
-scales only their distinct values and gathers the table from them.  A
-kernel output (an enumerated table, dual, hat, vee, scale, an expansion
-or 2-factor) is built by _from_scaled, which hands over the integer
-table it was built from whenever its unit is 1/q: divided by g = gcd(q,
-table), that table is exactly what _scaled would compute from the new
-values.  Units p/q with p != 1, and a table with g = 1 on the other side
-of the guard, leave the table to _scaled on first use, as does a
-function built by from_table or SetFunction.  Equality and
-quantoid.documents' printing read the table, so printing calls str once
-per distinct value.
+Every SetFunction carries its integer table, read-only, from the moment
+it exists: (table, den) = _scaled(values) is its _scaled_table, and the
+integer table runs from parse to print.  SetFunction and from_table
+scale the checked values once, in __post_init__.  Every function the
+library builds skips those checks and is handed its table (_handed): a
+parsed function (build) and a snapped one
+(quantoid.entropic.snap_to_rational) from _gathered, which scales only
+their distinct values and gathers the table from them; a kernel output
+(an enumerated table, dual, hat, vee, scale, an expansion or 2-factor)
+from _from_scaled, which divides the integer table it was built from by
+g = gcd(q, table) and multiplies it by p for a unit p/q.  Whole-function
+results are computed once per SetFunction object, on first use, and
+kept: its dual and, up to 8 elements, its increment table (both
+read-only), the Classification, and quantoid.sharing's flags, one tuple
+per kind.  Equality and quantoid.documents' printing read the table, so
+printing calls str once per distinct value.
 
 _halves is the one split of a table: it gives the views (f(S), f(S+i))
 of the masks S without element i, and every walk over elements or pairs
@@ -246,7 +246,13 @@ class GroundSet:
 
 @dataclass(frozen=True)
 class SetFunction:
-    """One exact rational per subset of the ground set, indexed by bitmask."""
+    """One exact rational per subset of the ground set, indexed by bitmask.
+
+    Each carries _scaled_table = _scaled(values), (table, den) with the
+    table read-only, from the moment it exists: __post_init__ scales the
+    checked values, and _handed hands a table to the functions the library
+    builds.
+    """
 
     ground: GroundSet
     values: tuple[Fraction, ...]
@@ -255,16 +261,10 @@ class SetFunction:
         expected = 1 << self.ground.n
         if len(self.values) != expected:
             raise MissingSubset(f"expected {expected} values, got {len(self.values)}")
-        object.__setattr__(self, "values", tuple(
-            v if type(v) is Fraction else as_rational(v) for v in self.values))
-
-    @functools.cached_property
-    def _scaled_table(self) -> tuple[np.ndarray, int]:
-        """_scaled(self.values), computed on first use and read-only.  A
-        kernel output gets it from _from_scaled where the two agree."""
-        a, den = _scaled(self.values)
+        values = tuple(v if type(v) is Fraction else as_rational(v) for v in self.values)
+        a, den = _scaled(values)
         a.flags.writeable = False
-        return a, den
+        self.__dict__.update(values=values, _scaled_table=(a, den))
 
     @functools.cached_property
     def _dual_table(self) -> np.ndarray:
@@ -400,16 +400,13 @@ def _scaled(values: Sequence[Fraction], n: int | None = None) -> tuple[np.ndarra
     return np.array(nums, dtype=_dtype(nums, n)), den
 
 
-def _handed(ground: GroundSet, values: tuple, table: np.ndarray | None, den: int) -> SetFunction:
+def _handed(ground: GroundSet, values: tuple, table: np.ndarray, den: int) -> SetFunction:
     """The set function with these values, which must be Fractions, built
-    without SetFunction's checks; table, when given, must be
-    _scaled(values) with this den, and becomes its _scaled_table,
-    read-only."""
+    without SetFunction's checks; (table, den) must be _scaled(values), and
+    becomes its _scaled_table, read-only."""
+    table.flags.writeable = False
     f = object.__new__(SetFunction)
-    f.__dict__.update(ground=ground, values=values)
-    if table is not None:
-        table.flags.writeable = False
-        f.__dict__["_scaled_table"] = table, den
+    f.__dict__.update(ground=ground, values=values, _scaled_table=(table, den))
     return f
 
 
@@ -426,25 +423,22 @@ def _from_scaled(ground: GroundSet, table: np.ndarray, unit: Fraction) -> SetFun
     """The set function with value x * unit on each mask, x read from table.
 
     Tables repeat values, so each distinct x becomes a Fraction once; the
-    values, one Fraction per mask, skip SetFunction's checks.  When unit is
-    1/q and g = gcd(q, table), table // g is _scaled(values) with den
-    q // g, and it becomes the new function's _scaled_table, read-only:
-    for g > 1 in the dtype _dtype picks for its values, and for g = 1 as
-    it is, if its dtype is the one _dtype picks.
+    values, one Fraction per mask, skip SetFunction's checks.  With unit
+    p/q and g = gcd(q, table), _scaled(values) is (table // g) * p over den
+    q // g, in the dtype _dtype picks for those integers, and it becomes
+    the new function's _scaled_table: the table itself when g = p = 1 and
+    its dtype is that one, a new array otherwise.
     """
     ints = table.tolist()
     distinct = set(ints)
     p, q = unit.numerator, unit.denominator
     value = {x: Fraction(x * p, q) for x in distinct}
     values = tuple(map(value.__getitem__, ints))
-    if p != 1:
-        table = None
-    elif (g := math.gcd(q, *distinct)) > 1:
-        q, distinct = q // g, {x // g for x in distinct}
-        table = (table // g).astype(_dtype(distinct, ground.n), copy=False)
-    elif table.dtype != _dtype(distinct, ground.n):
-        table = None
-    return _handed(ground, values, table, q)
+    g = math.gcd(q, *distinct)
+    dtype = _dtype((x // g * p for x in distinct), ground.n)
+    if g != 1 or p != 1 or table.dtype != dtype:
+        table = (table // g).astype(dtype) * p
+    return _handed(ground, values, table, q // g)
 
 
 # tables of at most this many elements are worked on whole, one gather or
@@ -461,13 +455,6 @@ def _coalition_rows(n: int) -> np.ndarray:
                     dtype=masks.dtype).reshape(n, len(masks) // 2)
     rows.flags.writeable = False
     return rows
-
-
-@functools.cache
-def _coalitions(n: int, dealer_bit: int) -> np.ndarray:
-    """The masks without the dealer bit, ascending: its row of
-    _coalition_rows(n), a read-only view."""
-    return _coalition_rows(n)[dealer_bit.bit_length() - 1]
 
 
 @functools.cache

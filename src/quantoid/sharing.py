@@ -27,7 +27,7 @@ most 2 * 8 * 128 masks a kind).  A larger function gathers the increment
 of the requested dealer alone, and flags it, each time: building its
 whole table would cost n rows per request, and at n = 12 a pass over
 every dealer about 3 ms.  The index plans (_one_smaller, _coalition_rows,
-_coalitions, _singleton_masks) live in quantoid.setfn, built once per n.
+_singleton_masks) live in quantoid.setfn, built once per n.
 Coalitions are named through GroundSet.members, which reads the ground
 set's cached subset keys.
 
@@ -53,7 +53,6 @@ from .setfn import (
     POLYQUANTOID,
     SetFunction,
     _coalition_rows,
-    _coalitions,
     _gains,
     _halves,
     _increments,
@@ -134,11 +133,6 @@ def _flag_rows(f: SetFunction, dealers: Sequence[int], quantum: bool) -> tuple:
             perfect.tolist(), ideal.tolist(), first.tolist()))
 
 
-def _sharing_flags(f: SetFunction, dealer_bit: int, quantum: bool) -> _Flags:
-    """The flags of one dealer: _flag_rows with one row."""
-    return _flag_rows(f, [dealer_bit.bit_length() - 1], quantum)[0]
-
-
 def _not_ideal_reason(f: SetFunction, dealer_idx: int, flags: _Flags) -> str:
     """The first clause of ideal that fails; flags.ideal is false, so one of
     the three returns."""
@@ -169,7 +163,7 @@ def _validated_flags(f: SetFunction, dealer, kind: str) -> tuple:
     idx = f.ground.index_of(dealer)
     quantum = kind == POLYQUANTOID
     if f.n > _GATHER_UP_TO:
-        return idx, _sharing_flags(f, 1 << idx, quantum)
+        return idx, _flag_rows(f, [idx], quantum)[0]
     if (every := f._dealer_flags.get(kind)) is None:
         every = f._dealer_flags[kind] = _flag_rows(f, range(f.n), quantum)
     return idx, every[idx]
@@ -271,12 +265,13 @@ def access_from_circuits(r: SetFunction, dealer) -> tuple:
     through the dealer fits inside dealer+I.  For matroids this is exactly
     the authorized family of the dealer."""
     circuits = _matroid_circuits(r)
-    dbit = 1 << r.ground.index_of(dealer)
+    idx = r.ground.index_of(dealer)
+    dbit = 1 << idx
     # the upward closure of the circuits through the dealer, one OR per
     # element, read at dealer+I for every coalition I
     closure = np.zeros(1 << r.n, dtype=bool)
     closure[circuits[circuits & dbit != 0]] = True
     for without, with_i in _increments(closure, r.n):
         with_i |= without
-    family = _coalitions(r.n, dbit)[_halves(closure, dbit)[1].ravel()]
+    family = _coalition_rows(r.n)[idx][_halves(closure, dbit)[1].ravel()]
     return tuple(map(r.ground.members, family.tolist()))

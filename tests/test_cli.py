@@ -2,7 +2,10 @@
 
 import functools
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -423,3 +426,20 @@ def test_expansion_size_past_the_digit_limit_exit_two(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err == "ExpansionTooLarge: <a value past the 4300-digit limit> expanded elements " \
                   "(maximum 16)\n"
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "cp1252"])
+def test_stdout_is_the_file_bytes_whatever_the_locale(tmp_path, encoding):
+    # stdout gets the UTF-8 that OUT gets, not the locale's encoding, in
+    # which the label either cannot be written or is written as another byte
+    path, out = tmp_path / "input.json", tmp_path / "out.json"
+    path.write_text(json.dumps({"ground_set": ["é"], "values": {"": "0", "é": "1"}},
+                               ensure_ascii=False), encoding="utf-8")
+    assert main(["dual", str(path), str(out)]) == 0
+    src = str(Path(documents.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONIOENCODING=encoding,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "quantoid", "dual", str(path)], env=env,
+                          capture_output=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == out.read_bytes() and "é".encode() in done.stdout

@@ -178,7 +178,7 @@ def kernel_outputs(f):
 
 
 def assert_table_is_scaled(g):
-    """g's kept table equals _scaled(g.values); returns whether it was handed over."""
+    """g's kept table equals _scaled(g.values); returns whether g carries it."""
     handed = "_scaled_table" in vars(g)
     a, den = g._scaled_table
     b, den2 = _scaled(g.values)
@@ -190,14 +190,16 @@ def assert_table_is_scaled(g):
 
 
 def test_handed_off_tables_equal_scaled():
-    handed = {}
-    fns = [f for name in sorted(CORPORA) for f in corpus_with_perturbations(name)] + guard_cases()
-    for f in fns:
-        for g in kernel_outputs(f):
-            kept = assert_table_is_scaled(g)
-            handed.setdefault((kept, g._scaled_table[0].dtype == object), g)
-    # handed over and left to _scaled, on int64 and on Python-int tables
-    assert set(handed) == {(True, False), (True, True), (False, False), (False, True)}
+    # user-built functions and every kernel output of them, among which
+    # scales by p/q with p != 1 and outputs in another dtype than their source
+    kept, dtype_changed = set(), set()
+    for f in table_corpus():
+        for g in [f, *kernel_outputs(f)]:
+            kept.add((assert_table_is_scaled(g), g._scaled_table[0].dtype == object))
+            dtype_changed.add(g._scaled_table[0].dtype != f._scaled_table[0].dtype)
+    # every function carries its table, on int64 and on Python-int tables
+    assert kept == {(True, False), (True, True)}
+    assert dtype_changed == {True, False}
 
 
 def test_enumerated_and_expanded_functions_carry_their_table():
@@ -285,14 +287,14 @@ def test_snapped_functions_carry_their_table():
 
 def test_printing_equals_str_of_every_value():
     user = from_table(labels_for(2), [0, Fraction(1, 2), Fraction(-3, 4), Fraction(1, 2)])
-    assert "_scaled_table" not in vars(user)
+    assert "_scaled_table" in vars(user)
     kept = set()
     for g in [user] + [h for f in table_corpus() for h in [f, *kernel_outputs(f)]]:
         kept.add("_scaled_table" in vars(g))
         doc = set_function_to_doc(g)
         assert doc == {"ground_set": list(g.labels),
                        "values": dict(zip(g.ground.subset_keys(), _texts(g.values)))}
-    assert kept == {True, False}  # tables handed over, and tables scaled to print
+    assert kept == {True}  # every function carries its table to print
 
 
 def test_equality_equals_comparing_values():

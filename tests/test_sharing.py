@@ -269,7 +269,7 @@ def test_minimal_coalitions_match_submask_walk():
               for n in range(1, 8) for _ in range(4)]
     for f, kind in cases:
         for i in range(f.n):
-            flags = sharing._sharing_flags(f, 1 << i, kind == "polyquantoid")
+            flags = sharing._flag_rows(f, [i], kind == "polyquantoid")[0]
             assert flags.minimal == minimal_by_submasks(flags.authorized)
 
 
@@ -285,7 +285,7 @@ def test_kernel_equals_loop_oracles():
         if classify(f).matroid:
             matroids.append(f)
         for i, dealer in enumerate(f.labels):
-            flags = sharing._sharing_flags(f, 1 << i, quantum)
+            flags = sharing._flag_rows(f, [i], quantum)[0]
             expected = sharing_flags_loops(f, 1 << i, quantum)
             assert flags[:5] == expected
             assert type(flags.perfect) is type(flags.ideal) is bool
@@ -322,7 +322,7 @@ def test_batched_flags_equal_the_loop_oracle():
         assert len(rows) == f.n
         for i, flags in enumerate(rows):
             assert flags[:5] == sharing_flags_loops(f, 1 << i, quantum)
-            assert flags == sharing._sharing_flags(f, 1 << i, quantum)
+            assert flags == sharing._flag_rows(f, [i], quantum)[0]
         if f.n >= 2:
             assert sharing._flag_rows(f, [f.n - 1, 0], quantum) == (rows[-1], rows[0])
 
@@ -366,8 +366,6 @@ def test_coalition_rows_stack_every_dealer():
     for n in range(9):
         rows = sharing._coalition_rows(n)
         assert rows.shape == (n, (1 << n) // 2)
-        assert [row.tolist() for row in rows] == [sharing._coalitions(n, 1 << i).tolist()
-                                                  for i in range(n)]
         with pytest.raises(ValueError, match="read-only"):
             rows[...] = 0
 
@@ -378,19 +376,20 @@ def test_plans_equal_a_per_mask_build():
         assert below.tolist() == [[m & ~(1 << i) for i in range(n)] for m in range(1 << n)]
         assert smaller.tolist() == [[m >> i & 1 == 1 for i in range(n)] for m in range(1 << n)]
         for i in range(n):
-            assert sharing._coalitions(n, 1 << i).tolist() == \
+            assert sharing._coalition_rows(n)[i].tolist() == \
                 [m for m in range(1 << n) if not m >> i & 1]
 
 
 def test_plans_are_read_only():
-    # the top bit's coalitions are a view of one arange, the others copies
-    for plan in (*sharing._one_smaller(3), sharing._coalitions(3, 1), sharing._coalitions(3, 4)):
+    # each dealer's coalitions are a row of one read-only array
+    for plan in (*sharing._one_smaller(3), sharing._coalition_rows(3)[0],
+                 sharing._coalition_rows(3)[2]):
         with pytest.raises(ValueError, match="read-only"):
             plan[0] = 1
 
 
 def test_each_plan_is_built_once_per_key(monkeypatch):
-    built = {"_one_smaller": [], "_coalitions": [], "_coalition_rows": []}
+    built = {"_one_smaller": [], "_coalition_rows": []}
     for name, keys in built.items():
         def counting(*key, real=getattr(sharing, name).__wrapped__, keys=keys):
             keys.append(key)
@@ -406,9 +405,7 @@ def test_each_plan_is_built_once_per_key(monkeypatch):
         access_from_circuits(r, dealer)
     # the flags read one size below the function, the circuits the rank's
     # own size; access_from_circuits reads its rows of the flags' coalitions
-    assert built == {"_one_smaller": [(3,), (4,)],
-                     "_coalitions": [(4, 1), (4, 2), (4, 4), (4, 8)],
-                     "_coalition_rows": [(4,)]}
+    assert built == {"_one_smaller": [(3,), (4,)], "_coalition_rows": [(4,)]}
 
 
 def test_extracted_rank_is_a_matroid():
@@ -454,29 +451,28 @@ def test_each_function_is_scaled_once(monkeypatch):
         calls.append(values)  # kept alive, so no two calls share an id
         return real(values)
 
+    monkeypatch.setattr(setfn, "_scaled", counting)
+    # a user-built function is scaled once, when it is built; scale by
+    # p/q with p != 1 hands its output a table, so no call for f itself
     f = scale(uniform(2, 4), Fraction(3, 2))
     r = uniform(2, 4)
     e = q24()
-    monkeypatch.setattr(setfn, "_scaled", counting)
+    assert len(calls) == 3 and calls[1] is r.values and calls[2] is e.values
 
+    # no function is scaled again after it is built
+    calls.clear()
     for op in (classify, dual, is_selfdual, to_polymatroid, to_polyquantoid):
         op(f)
     scale(f, 2)
     assert all(analyze_sharing(f, dealer).ideal for dealer in f.labels)
-    assert len(calls) == 1 and calls[0] is f.values
-
-    calls.clear()
     matroid_structure(r)
     for dealer in r.labels:
         access_from_circuits(r, dealer)
     free_expand_polymatroid(r)
-    assert len(calls) == 1 and calls[0] is r.values
-
     # each dealer's extraction reads its to_polymatroid partner's table as
     # _from_scaled handed it over, so no partner is scaled from its values
-    calls.clear()
     assert all(analyze_sharing(e, dealer, "polyquantoid").ideal for dealer in e.labels)
-    assert len(calls) == 1 and calls[0] is e.values
+    assert calls == []
 
 
 def test_each_function_is_classified_once(monkeypatch):
