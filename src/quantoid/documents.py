@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import sys
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from .errors import InvalidLabel, MalformedDocument, NotNormalized, ValueTooLarge
@@ -145,7 +146,7 @@ def distribution_from_doc(doc) -> JointDistribution:
     parties = GroundSet(_labels(_field(doc, "parties", list)))
     alphabets = _field(doc, "alphabets", list)
     probs = _field(doc, "probs", list)
-    if not all(_is_number(p) for p in probs):
+    if not (set(map(type, probs)) <= {int, float} or all(map(_is_number, probs))):
         raise MalformedDocument("probs: expected numbers")
     return JointDistribution(parties, tuple(alphabets), tuple(probs))
 
@@ -156,12 +157,18 @@ def pure_state_from_doc(doc) -> PureState:
     parties = GroundSet(_labels(_field(doc, "parties", list)))
     dims = _field(doc, "dims", list)
     raw = _field(doc, "amplitudes", list)
-    amplitudes = []
-    for entry in raw:
-        if not (isinstance(entry, list) and len(entry) == 2
-                and all(_is_number(x) for x in entry)):
-            raise MalformedDocument("amplitudes: expected [re, im] pairs")
-        amplitudes.append(complex(*_numbers(entry, float, NotNormalized, "amplitude")))
+    pairs = set(map(type, raw)) <= {list} and set(map(len, raw)) <= {2}
+    parts = list(chain.from_iterable(raw)) if pairs else []
+    if pairs and set(map(type, parts)) <= {int, float}:
+        parts = _numbers(parts, float, NotNormalized, "amplitude")
+        amplitudes = tuple(map(complex, parts[0::2], parts[1::2]))
+    else:  # entry by entry, so that the first bad entry raises its own error
+        amplitudes = []
+        for entry in raw:
+            if not (isinstance(entry, list) and len(entry) == 2
+                    and all(_is_number(x) for x in entry)):
+                raise MalformedDocument("amplitudes: expected [re, im] pairs")
+            amplitudes.append(complex(*_numbers(entry, float, NotNormalized, "amplitude")))
     return PureState(parties, tuple(dims), tuple(amplitudes))
 
 

@@ -266,6 +266,15 @@ class SetFunction:
         a.flags.writeable = False
         self.__dict__.update(values=values, _scaled_table=(a, den))
 
+    def __setstate__(self, state: dict):
+        # copy.deepcopy and pickle rebuild each array writeable: mark the
+        # table and any cached dual or increment table read-only again
+        self.__dict__.update(state)
+        for name in ("_dual_table", "_increment_table"):
+            if name in state:
+                state[name].flags.writeable = False
+        state["_scaled_table"][0].flags.writeable = False
+
     @functools.cached_property
     def _dual_table(self) -> np.ndarray:
         """_dual of _scaled_table, over the same den, computed on first use

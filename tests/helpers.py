@@ -4,11 +4,12 @@ and slow reference oracles for the shortcuts the library takes."""
 from dataclasses import replace
 from fractions import Fraction
 import itertools
+import math
 import random
 
 import numpy as np
 
-from quantoid.entropic import ApproxSetFunction, _entropy_of, reduced_spectrum
+from quantoid.entropic import ApproxSetFunction
 from quantoid.expansion import QUANTOID_EXPANSION, TWO_FACTOR, adapted_sets
 from quantoid.setfn import (
     Classification,
@@ -457,7 +458,7 @@ def shannon_entropy_function_dfs(dist, base=2.0):
     def visit(marginal, mask, parties, start):
         # axis k of marginal holds party parties[k]; only axes >= start may drop
         if mask:
-            values[mask] = _entropy_of(marginal.reshape(-1), base)
+            values[mask] = entropy_of(marginal.reshape(-1), base)
         for k in range(start, len(parties)):
             visit(marginal.sum(axis=k), mask ^ 1 << parties[k],
                   parties[:k] + parties[k + 1:], k)
@@ -476,16 +477,42 @@ def shannon_entropy_function_loops(dist, base=2.0):
     for mask in range(1, 1 << n):
         drop = tuple(i for i in range(n) if not mask >> i & 1)
         marginal = arr.sum(axis=drop) if drop else arr
-        values[mask] = _entropy_of(marginal.reshape(-1), base)
+        values[mask] = entropy_of(marginal.reshape(-1), base)
     return ApproxSetFunction(dist.parties, tuple(values))
 
 
+def entropy_of(probabilities, base: float) -> float:
+    """-sum p log p over the positive p, in the given base, never -0.0: the
+    per-spectrum entropy the reference constructors use."""
+    lam = np.asarray(probabilities, dtype=float)
+    lam = lam[lam > 0]
+    return float(-(lam * np.log(lam)).sum() / math.log(base)) + 0.0
+
+
+def complex_tensor(state):
+    """The state's amplitudes as a complex array of shape dims."""
+    return np.asarray(state.amplitudes, dtype=complex).reshape(state.dims)
+
+
+def complex_spectrum(psi, mask):
+    """Eigenvalues of the reduction onto mask, from the complex Gram matrix
+    of the amplitude tensor psi reshaped to (parties in mask, the others):
+    the reference for reduced_spectrum, which solves real states in reals."""
+    keep = [i for i in range(psi.ndim) if mask >> i & 1]
+    drop = [i for i in range(psi.ndim) if not mask >> i & 1]
+    m = psi.transpose(keep + drop).reshape(math.prod(psi.shape[i] for i in keep), -1)
+    return np.linalg.eigvalsh(m @ m.conj().T)
+
+
 def von_neumann_entropy_function_loops(state, base=2.0):
-    """Entropy of every reduction, each eigensolved on its own kept side:
-    the reference for the library's one-solve-per-complementary-pair
-    von_neumann_entropy_function."""
-    n = state.parties.n
-    values = [0.0] * (1 << n)
-    for mask in range(1, 1 << n):
-        values[mask] = _entropy_of(reduced_spectrum(state, state.parties.members(mask)), base)
+    """Entropy of every reduction, one complex Gram matrix and eigensolve
+    per complementary pair, on the side with the smaller dimension: the
+    reference for the library's von_neumann_entropy_function."""
+    psi = complex_tensor(state)
+    full = (1 << state.parties.n) - 1
+    values = [0.0] * (full + 1)
+    for mask in range(1, (full + 1) >> 1):  # the masks without party n-1, one per pair
+        dim = math.prod(d for i, d in enumerate(state.dims) if mask >> i & 1)
+        side = mask if dim * dim <= psi.size else full ^ mask
+        values[mask] = values[full ^ mask] = entropy_of(complex_spectrum(psi, side), base)
     return ApproxSetFunction(state.parties, tuple(values))

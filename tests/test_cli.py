@@ -223,6 +223,7 @@ def test_entropy_unnormalized_exit_two(corpus, capsys):
 
 
 NAN = float("nan")
+INF = float("inf")
 MALFORMED_ENTROPY = [
     ("SnapFailed", "--classical",
      {"parties": ["1", "2"], "alphabets": [2, 2], "probs": [0.5, 0, 0, 0.5]}, ["--snap", "0"]),
@@ -236,18 +237,33 @@ MALFORMED_ENTROPY = [
      {"parties": ["1"], "dims": [2], "amplitudes": [[NAN, 0], [1, 0]]}, []),
     ("MalformedDocument", "--classical",
      {"parties": ["1"], "alphabets": [2], "probs": ["a", 1]}, []),
+    # the first bad entry in order names the error
+    ("NotNormalized", "--quantum",
+     {"parties": ["1"], "dims": [2], "amplitudes": [[INF, 0], "x"]}, []),
+    ("MalformedDocument", "--quantum",
+     {"parties": ["1"], "dims": [2], "amplitudes": ["x", [INF, 0]]}, []),
+    ("MalformedDocument", "--quantum",
+     {"parties": ["1"], "dims": [2], "amplitudes": [[True, 0], [0, 0]]}, []),
+    ("MalformedDocument", "--classical",
+     {"parties": ["1"], "alphabets": [2], "probs": [INF, "x"]}, []),
+    ("InvalidDistribution: negative mass", "--classical",
+     {"parties": ["1"], "alphabets": [2], "probs": [-0.5, 1.5]}, []),
 ]
 
 
 @pytest.mark.parametrize("error,flag,doc,extra", MALFORMED_ENTROPY,
                          ids=["snap-0", "dims-string", "alphabets-string",
-                              "probs-nan", "amplitudes-nan", "probs-string"])
+                              "probs-nan", "amplitudes-nan", "probs-string",
+                              "amplitudes-inf-then-string", "amplitudes-string-then-inf",
+                              "amplitudes-bool", "probs-inf-then-string", "probs-negative"])
 def test_malformed_entropy_input_exit_two(tmp_path, capsys, error, flag, doc, extra):
+    # error is the error's name, optionally followed by ": " and its message
+    name, _, message = error.partition(": ")
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "entropy", flag, str(path), *extra)
     assert code == 2 and out == ""
-    assert re.fullmatch(r"\w+: [^\n]*\n", err) and err.startswith(f"{error}: ")
+    assert re.fullmatch(r"\w+: [^\n]*\n", err) and err.startswith(f"{name}: {message}")
 
 
 OUT_OF_RANGE = {  # name: (command, document text, error)

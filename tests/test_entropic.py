@@ -8,11 +8,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from quantoid import entropic
 from quantoid.entropic import (
     ApproxSetFunction,
     JointDistribution,
     PureState,
-    _entropy_of,
+    _entropies,
     is_approx_polymatroid,
     is_approx_polyquantoid,
     reduced_spectrum,
@@ -31,6 +32,8 @@ from quantoid.setfn import GroundSet
 
 from helpers import (
     bell,
+    complex_spectrum,
+    complex_tensor,
     ghz3,
     is_approx_polymatroid_all_pairs,
     is_approx_polyquantoid_all_pairs,
@@ -159,7 +162,7 @@ def test_reduced_spectrum_rejects_a_bare_string():
 
 @pytest.mark.parametrize("probabilities", [[], [0.0, 0.0]], ids=["empty", "zeros"])
 def test_entropy_of_no_mass_is_positive_zero(probabilities):
-    h = _entropy_of(np.array(probabilities), 2.0)
+    (h,) = _entropies([np.array(probabilities)], math.log(2))
     assert h == 0.0 and math.copysign(1.0, h) == 1.0
 
 
@@ -373,19 +376,35 @@ def distribution_on(rng, sizes, kind):
     return JointDistribution(GroundSet(labels_for(len(sizes))), sizes, tuple(probs))
 
 
-def state_on(rng, dims, product=False):
-    """A seeded unit vector on parties of the given dimensions, entangled or
-    a product of one vector per party."""
-    if product:
+def state_on(rng, dims, kind="complex"):
+    """A seeded unit vector on parties of the given dimensions: random
+    complex or real, a product of one complex vector per party, GHZ (the
+    sum of |k, k, ..., k> over the levels every party has) or Bell pairs
+    (a seeded pairing of the parties, each pair in the sum of |k, k> over
+    the levels both have, and a lone last party in |0>)."""
+    size, n = math.prod(dims), len(dims)
+    if kind == "product":
         amps = np.ones(1)
         for d in dims:
             q = rng.normal(size=d) + 1j * rng.normal(size=d)
             amps = np.kron(amps, q / np.linalg.norm(q))
+    elif kind == "ghz":
+        amps = np.zeros(dims)
+        for k in range(min(dims, default=1)):
+            amps[(k,) * n] = 1
+    elif kind == "bell":
+        order = [int(x) for x in rng.permutation(n)]
+        amps = np.ones(1)
+        for j in range(0, n - 1, 2):
+            pair = np.eye(dims[order[j]], dims[order[j + 1]])
+            amps = np.kron(amps, pair.ravel())
+        if n % 2:
+            amps = np.kron(amps, np.eye(dims[order[-1]])[0])
+        amps = amps.reshape([dims[i] for i in order]).transpose(np.argsort(order))
     else:
-        size = math.prod(dims)
-        amps = rng.normal(size=size) + 1j * rng.normal(size=size)
-        amps /= np.linalg.norm(amps)
-    return PureState(GroundSet(labels_for(len(dims))), dims, tuple(amps))
+        amps = rng.normal(size=size) + (1j * rng.normal(size=size) if kind == "complex" else 0)
+    amps = np.ravel(amps) / np.linalg.norm(amps)
+    return PureState(GroundSet(labels_for(n)), dims, tuple(amps.tolist()))
 
 
 def test_shannon_equals_per_mask_oracle():
@@ -440,17 +459,21 @@ def test_shannon_peak_memory_stays_near_the_depth_first_walk(n):
     assert peaks[0] <= 3 * peaks[1], peaks
 
 
+STATE_KINDS = ("complex", "real", "product", "ghz", "bell")
+
+
 def test_von_neumann_equals_per_mask_oracle_and_is_complement_symmetric():
     rng = np.random.default_rng(20121020)
-    shapes = [(2,) * n for n in range(8)] + MIXED_SIZES
+    shapes = [(2,) * n for n in range(13)] + MIXED_SIZES + [(2, 3, 4), (5, 1, 2)]
     for dims in shapes:
-        for product in (False, True):
-            state = state_on(rng, dims, product)
+        for kind in STATE_KINDS:
+            state = state_on(rng, dims, kind)
             f, oracle = von_neumann_entropy_function(state), von_neumann_entropy_function_loops(state)
             full = len(f.values) - 1
             assert f.values[0] == 0.0 and f.values[full] == 0.0
             assert all(f.values[m] == f.values[full ^ m] for m in range(full + 1)), dims
-            assert np.allclose(f.values, oracle.values, rtol=0, atol=ORACLE_TOL), (dims, product)
+            assert not any(v == 0 and math.copysign(1.0, v) < 0 for v in f.values)  # no -0.0
+            assert np.allclose(f.values, oracle.values, rtol=0, atol=ORACLE_TOL), (dims, kind)
     state = ghz_state()
     assert von_neumann_entropy_function(state, base=math.e).values == pytest.approx(
         von_neumann_entropy_function_loops(state, base=math.e).values, abs=ORACLE_TOL)
@@ -459,13 +482,28 @@ def test_von_neumann_equals_per_mask_oracle_and_is_complement_symmetric():
 def test_reduced_spectrum_has_one_value_per_kept_basis_state():
     rng = np.random.default_rng(20121021)
     for dims in [(2, 2, 2), (3, 2, 1, 3)]:
-        state = state_on(rng, dims)
-        for mask in range(1 << len(dims)):
-            kept = math.prod(d for i, d in enumerate(dims) if mask >> i & 1)
-            spectrum = reduced_spectrum(state, state.parties.members(mask))
-            assert len(spectrum) == kept
-            assert list(spectrum) == sorted(spectrum)
-            assert sum(spectrum) == pytest.approx(1.0, abs=TOL)
+        for kind in ("complex", "real"):  # a real state is solved in real arithmetic
+            state = state_on(rng, dims, kind)
+            for mask in range(1 << len(dims)):
+                kept = math.prod(d for i, d in enumerate(dims) if mask >> i & 1)
+                spectrum = reduced_spectrum(state, state.parties.members(mask))
+                assert len(spectrum) == kept
+                assert list(spectrum) == sorted(spectrum)
+                assert sum(spectrum) == pytest.approx(1.0, abs=TOL)
+                assert np.allclose(spectrum, complex_spectrum(complex_tensor(state), mask),
+                                   rtol=0, atol=ORACLE_TOL), (dims, kind, mask)
+
+
+def test_von_neumann_sums_spectra_in_batches(monkeypatch):
+    # each spectrum's entropy is its own segment of the sum, so the batch
+    # size cannot change a value; past 10 qubits a call sums several batches
+    rng = np.random.default_rng(20121026)
+    states = [state_on(rng, dims, kind) for dims, kind in
+              [((2,) * 9, "complex"), ((2,) * 8, "real"), ((3, 2, 1, 3), "complex")]]
+    whole = [von_neumann_entropy_function(state).values for state in states]
+    for batch in (1, 100):
+        monkeypatch.setattr(entropic, "SPECTRUM_BATCH", batch)
+        assert [von_neumann_entropy_function(state).values for state in states] == whole
 
 
 def test_one_eigensolve_per_complementary_pair_on_the_smaller_side(monkeypatch):

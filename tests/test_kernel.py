@@ -1,7 +1,9 @@
 """The integer-table kernel behind classify, dual, hat/vee and scale,
 against the Fraction loop oracles in helpers, and its int64 overflow guard."""
 
+import copy
 from fractions import Fraction
+import pickle
 import random
 
 import numpy as np
@@ -110,12 +112,15 @@ def test_corpus_sees_every_flag_both_ways():
 @pytest.mark.parametrize("top,dtype", [(1, np.int64), (2**70, object)], ids=["int64", "object"])
 def test_cached_table_is_read_only(top, dtype):
     f = scale(uniform(2, 3), top)
-    a, _ = f._scaled_table
-    assert a.dtype == dtype and f._scaled_table[0] is a
-    with pytest.raises(ValueError):
-        a[0] = 1
-    with pytest.raises(ValueError):
-        a += a
+    f._dual_table, f._increment_table  # noqa: B018 -- cached, so copies carry them
+    for g in (f, copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        a, _ = g._scaled_table
+        assert a.dtype == dtype and g._scaled_table[0] is a and g == f
+        for table in (a, g.__dict__["_dual_table"], g.__dict__["_increment_table"]):
+            with pytest.raises(ValueError):
+                table[0] = 1
+            with pytest.raises(ValueError):
+                table += table
 
 
 # -- the overflow guard -----------------------------------------------------------

@@ -76,6 +76,8 @@ def files(tmp_path_factory):
     docs = {
         "u12": {"ground_set": ["1", "2"], "values": {"": "0", "1": "1", "2": "1", "1,2": "1"}},
         "fairbit": {"parties": ["1", "2"], "alphabets": [2, 2], "probs": [0.5, 0, 0, 0.5]},
+        "bell": {"parties": ["1", "2"], "dims": [2, 2],
+                 "amplitudes": [[0.5 ** 0.5, 0], [0, 0], [0, 0], [0.5 ** 0.5, 0]]},
     }
     for name, doc in docs.items():
         (folder / f"{name}.json").write_text(json.dumps(doc))
@@ -93,11 +95,12 @@ def commands(files) -> dict:
         "share": (["share", u12, "--dealer", "1"], 0, ["expansion", "entropic"]),
         "expand": (["expand", u12, "--mode", "matroid"], 0, ["sharing", "entropic"]),
         "entropy": (["entropy", "--classical", files["fairbit"]], 0, ["sharing", "expansion"]),
+        "entropy-quantum": (["entropy", "--quantum", files["bell"]], 0, ["sharing", "expansion"]),
     }
 
 
 @pytest.mark.parametrize("command", ["help", "usage", "check", "dual", "hat", "vee",
-                                     "share", "expand", "entropy"])
+                                     "share", "expand", "entropy", "entropy-quantum"])
 def test_each_command_loads_only_what_it_runs(files, command):
     argv, code, absent = commands(files)[command]
     modules = loaded_by(RUN_CLI, json.dumps(argv), str(code))
@@ -105,7 +108,10 @@ def test_each_command_loads_only_what_it_runs(files, command):
     assert names.isdisjoint(modules)
     if command not in ("help", "usage"):
         own = {"share": "sharing", "expand": "expansion", "entropy": "entropic"}
-        assert {"numpy", "quantoid.documents", f"quantoid.{own.get(command, 'setfn')}"} <= modules
+        own = own.get(argv[0], "setfn")
+        assert {"numpy", "quantoid.documents", f"quantoid.{own}"} <= modules
+    if command == "entropy-quantum":  # the same modules as the classical path
+        assert modules == loaded_by(RUN_CLI, json.dumps(commands(files)["entropy"][0]), "0")
 
 
 def test_importing_the_package_loads_no_module():
