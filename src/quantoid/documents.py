@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import sys
-from itertools import chain
+from itertools import chain, takewhile
 from typing import TYPE_CHECKING
 
 from .errors import InvalidLabel, MalformedDocument, NotNormalized, ValueTooLarge
@@ -141,6 +141,9 @@ def approx_set_function_to_doc(f: ApproxSetFunction) -> dict:
 
 
 def distribution_from_doc(doc) -> JointDistribution:
+    """The distribution of a distribution document.  Any probability that
+    is not a number raises MalformedDocument before any is checked for
+    finiteness, so [inf, "x"] is malformed, not invalid."""
     from .entropic import JointDistribution
 
     parties = GroundSet(_labels(_field(doc, "parties", list)))
@@ -151,25 +154,28 @@ def distribution_from_doc(doc) -> JointDistribution:
     return JointDistribution(parties, tuple(alphabets), tuple(probs))
 
 
+def _is_pair(entry) -> bool:
+    return (isinstance(entry, list) and len(entry) == 2
+            and _is_number(entry[0]) and _is_number(entry[1]))
+
+
 def pure_state_from_doc(doc) -> PureState:
+    """The state of a state document.  Its amplitudes are [re, im] pairs
+    of numbers, and the first bad entry, in order, names the error: a pair
+    with a non-finite part (or an int past the float range) raises
+    NotNormalized, and any other entry, a bool among them, raises
+    MalformedDocument.  So the run of pairs before the first entry that is
+    not one is read in bulk, and only then is a leftover entry an error."""
     from .entropic import PureState, _numbers
 
     parties = GroundSet(_labels(_field(doc, "parties", list)))
     dims = _field(doc, "dims", list)
     raw = _field(doc, "amplitudes", list)
-    pairs = set(map(type, raw)) <= {list} and set(map(len, raw)) <= {2}
-    parts = list(chain.from_iterable(raw)) if pairs else []
-    if pairs and set(map(type, parts)) <= {int, float}:
-        parts = _numbers(parts, float, NotNormalized, "amplitude")
-        amplitudes = tuple(map(complex, parts[0::2], parts[1::2]))
-    else:  # entry by entry, so that the first bad entry raises its own error
-        amplitudes = []
-        for entry in raw:
-            if not (isinstance(entry, list) and len(entry) == 2
-                    and all(_is_number(x) for x in entry)):
-                raise MalformedDocument("amplitudes: expected [re, im] pairs")
-            amplitudes.append(complex(*_numbers(entry, float, NotNormalized, "amplitude")))
-    return PureState(parties, tuple(dims), tuple(amplitudes))
+    pairs = list(takewhile(_is_pair, raw))
+    parts = _numbers(list(chain.from_iterable(pairs)), float, NotNormalized, "amplitude")
+    if len(pairs) < len(raw):
+        raise MalformedDocument("amplitudes: expected [re, im] pairs")
+    return PureState(parties, tuple(dims), tuple(map(complex, parts[0::2], parts[1::2])))
 
 
 def sharing_report_to_doc(report: SharingReport) -> dict:

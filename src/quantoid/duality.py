@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .setfn import SetFunction, _from_scaled, _tight
+from .setfn import SetFunction, _from_scaled, _top_gains
 
 
 def dual(f: SetFunction) -> SetFunction:
@@ -23,7 +23,7 @@ def dual(f: SetFunction) -> SetFunction:
 
 def is_tight(f: SetFunction) -> bool:
     """True when dropping any single element does not change the total value."""
-    return _tight(f._scaled_table[0], f.n)
+    return bool((_top_gains(f._scaled_table[0], f.n) == 0).all())
 
 
 def is_selfdual(f: SetFunction) -> bool:

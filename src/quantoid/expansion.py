@@ -26,6 +26,13 @@ count table at the mixed-radix index of its per-block popcounts, which is
 a modular sum over the copies.  An expansion has at most MAX_GROUND_SIZE
 elements.
 
+One check, _checked, tests a source before it is expanded, and on a
+source with more than one fault the first in this order names the error:
+not an integer polymatroid (NotIntegerPolymatroid) or, for a quantoid
+expansion, not an integer polyquantoid (NotIntegerPolyquantoid); for a
+2-factor, an odd singleton value (OddSingletonValue); more than
+MAX_GROUND_SIZE copies in all (ExpansionTooLarge).
+
 The arithmetic is int64, like SetFunction._scaled_table, and it cannot
 overflow: a validated source is integer, normalized and submodular, and
 either monotone or complementary, so 0 <= f(J) <= sum of s_i <=
@@ -168,19 +175,21 @@ def _count_table(a: np.ndarray, sizes: Sequence[int], weight: int,
     return a
 
 
-def _require_integer(f: SetFunction, kind: str):
+def _checked(f: SetFunction, kind: str):
+    """Raise unless f meets the preconditions of a `kind` expansion, tested
+    in this order: an integer polymatroid (an integer polyquantoid for a
+    quantoid expansion), then for a 2-factor even singleton values, then
+    at most MAX_GROUND_SIZE copies, the sum of the singleton values, which
+    a 2-factor's pairs stand for too."""
     cls = classify(f)
-    if kind == MATROID_EXPANSION and not (cls.polymatroid and cls.integer):
-        raise NotIntegerPolymatroid(f"values on {f.labels}")
-    if kind == QUANTOID_EXPANSION and not (cls.polyquantoid and cls.integer):
-        raise NotIntegerPolyquantoid(f"values on {f.labels}")
-
-
-def _check_copies(f: SetFunction):
-    """ExpansionTooLarge unless f's singleton values, the copies of its
-    free expansion, add up to at most MAX_GROUND_SIZE."""
-    total = sum(int(f.values[1 << i]) for i in range(f.n))
-    if total > MAX_GROUND_SIZE:
+    quantum = kind == QUANTOID_EXPANSION
+    if not (cls.integer and (cls.polyquantoid if quantum else cls.polymatroid)):
+        error = NotIntegerPolyquantoid if quantum else NotIntegerPolymatroid
+        raise error(f"values on {f.labels}")
+    singles = [int(f.values[1 << i]) for i in range(f.n)]
+    if kind == TWO_FACTOR and (odd := [x for x, s in zip(f.labels, singles) if s % 2]):
+        raise OddSingletonValue(odd[0])
+    if (total := sum(singles)) > MAX_GROUND_SIZE:
         raise ExpansionTooLarge(f"{_show(total)} expanded elements (maximum {MAX_GROUND_SIZE})")
 
 
@@ -204,8 +213,7 @@ def _expand(f: SetFunction, kind: str) -> Expansion:
 
 
 def _expansion(f: SetFunction, kind: str) -> Expansion:
-    _require_integer(f, kind)
-    _check_copies(f)
+    _checked(f, kind)
     return _expand(f, kind)
 
 
@@ -226,11 +234,7 @@ def two_factor(h: SetFunction) -> Expansion:
     lives on the blocks (labeled "<label>.<k>", k indexing pairs) and takes
     the expansion's value on the union of the chosen blocks.
     """
-    _require_integer(h, MATROID_EXPANSION)
-    for i in range(h.n):
-        if int(h.values[1 << i]) % 2:
-            raise OddSingletonValue(h.labels[i])
-    _check_copies(h)  # the copies the pairs stand for obey the expansion limit
+    _checked(h, TWO_FACTOR)
     return _expand(h, TWO_FACTOR)
 
 

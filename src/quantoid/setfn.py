@@ -125,7 +125,11 @@ def _outside(name: str, x: int, end: int, n: int) -> ValueError:
 
 
 def _in_range(name: str, x: int, end: int, n: int) -> int:
-    """x, when 0 <= x < end; otherwise _outside's ValueError."""
+    """x, when 0 <= x < end; otherwise _outside's ValueError.  A bool is
+    a TypeError: Python counts it as an int, but it is no mask, element
+    index or count."""
+    if isinstance(x, bool):
+        raise TypeError(f"{name} {x!r} is a bool, not an int")
     if 0 <= x < end:
         return x
     raise _outside(name, x, end, n)
@@ -552,10 +556,6 @@ def _submodular(a: np.ndarray, n: int) -> bool:
     return all((at_sc <= at_s).all() for at_sc, at_s in _two_point_gains(a, n))
 
 
-def _tight(a: np.ndarray, n: int) -> bool:
-    return bool((_top_gains(a, n) == 0).all())
-
-
 def _dual(a: np.ndarray, n: int) -> np.ndarray:
     # f'(I) = f(N-I) + f({}) - f(N) + sum over i in I of
     # [f(i) - f({}) + f(N) - f(N-i)]; N-I is the reversed table
@@ -603,14 +603,14 @@ def _classify(f: SetFunction) -> Classification:
     pair of elements.  On a submodular table, nondecreasing needs only
     f(N - i) <= f(N) for every i; other tables test every gain.  Tight is
     f(N - i) == f(N).  Selfduality compares the table with the cached dual
-    table.  Only `integer` (the lcm is 1) and the singletons-in-{0, 1} part
-    of matroid and quantoid need the unscaled values.
+    table.  No flag reads the unscaled values: `integer` is den == 1, and
+    the singletons-in-{0, 1} part of matroid and quantoid reads the table,
+    which then holds the values.
     """
-    v = f.values
     n = f.n
     a, den = f._scaled_table
 
-    normalized = v[0] == 0
+    normalized = bool(a[0] == 0)
     gathered = 0 < n <= _GATHER_UP_TO
     if gathered:
         # below[k, j] is k without j, or k itself, where the test holds trivially
@@ -628,7 +628,8 @@ def _classify(f: SetFunction) -> Classification:
     tight = bool((top == 0).all())
     integer = den == 1
     selfdual = bool((f._dual_table == a).all())
-    singles_01 = all(v[1 << i] in (0, 1) for i in range(n))
+    # matroid and quantoid read it only with integer, where den is 1: the table is the values
+    singles_01 = set(a.take(_singleton_masks(n)[0]).tolist()) <= {0, 1}
 
     polymatroid = normalized and nondecreasing and submodular
     polyquantoid = normalized and complementary and submodular
@@ -677,6 +678,8 @@ def enumerate_rank_functions(kind: str, n: int, cap: int) -> Iterator[SetFunctio
     """
     if kind not in (POLYMATROID, POLYQUANTOID):
         raise ValueError(f"unknown kind {kind!r}")
+    if isinstance(n, bool) or isinstance(cap, bool):
+        raise TypeError(f"n {n!r} and cap {cap!r} must be ints, not bools")
     if n < 0 or cap < 0:
         raise ValueError("n and cap must be nonnegative")
     ground = GroundSet(tuple(str(i + 1) for i in range(n)))

@@ -59,6 +59,7 @@ from .setfn import (
     _one_smaller,
     _show,
     _singleton_masks,
+    _top_gains,
     classify,
     scale,
 )
@@ -229,7 +230,10 @@ def _matroid_circuits(r: SetFunction) -> np.ndarray:
 
 
 def matroid_structure(r: SetFunction) -> MatroidStructure:
-    """Circuits, loops, coloops, connectivity -- all by enumerating every subset.
+    """Circuits, loops, coloops, connectivity, all read off the integer
+    table, which for a matroid holds the ranks themselves: the circuits
+    from every subset, a loop where a singleton has rank 0 and a coloop
+    where r(N) - r(N - i) = 1.
 
     Convention for connectivity (the degenerate cases are a documented
     choice): the empty matroid is connected; a single element is connected
@@ -237,25 +241,22 @@ def matroid_structure(r: SetFunction) -> MatroidStructure:
     pair of distinct elements lies in a common circuit.
     """
     circuits = _matroid_circuits(r)
-    v = r.values
+    a = r._scaled_table[0]  # a matroid's den is 1: the table holds the ranks
     n = r.n
-    full = r.full_mask
-    loops = tuple(i for i in range(n) if v[1 << i] == 0)
-    coloops = tuple(i for i in range(n) if v[full] - v[full ^ (1 << i)] == 1)
+    loops = a.take(_singleton_masks(n)[0]) == 0  # loops[i]: element i has rank 0
 
     if n == 1:
-        connected = not loops
+        connected = not loops[0]
     else:  # every pair lies in a common circuit: the circuits through i cover N,
         # which holds vacuously for the empty matroid
         connected = all(np.bitwise_or.reduce(circuits[circuits >> i & 1 == 1], initial=0)
-                        == full for i in range(n))
+                        == r.full_mask for i in range(n))
 
-    labels = r.ground.labels
     return MatroidStructure(
         rank=r,
         circuits=tuple(map(r.ground.members, circuits.tolist())),
-        loops=tuple(labels[i] for i in loops),
-        coloops=tuple(labels[i] for i in coloops),
+        loops=tuple(compress(r.labels, loops)),
+        coloops=tuple(compress(r.labels, _top_gains(a, n) == 1)),
         connected=connected,
     )
 

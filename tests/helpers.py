@@ -9,7 +9,8 @@ import random
 
 import numpy as np
 
-from quantoid.entropic import ApproxSetFunction
+from quantoid.entropic import ApproxSetFunction, _numbers
+from quantoid.errors import MalformedDocument, NotNormalized
 from quantoid.expansion import QUANTOID_EXPANSION, TWO_FACTOR, adapted_sets
 from quantoid.setfn import (
     Classification,
@@ -516,3 +517,19 @@ def von_neumann_entropy_function_loops(state, base=2.0):
         side = mask if dim * dim <= psi.size else full ^ mask
         values[mask] = values[full ^ mask] = entropy_of(complex_spectrum(psi, side), base)
     return ApproxSetFunction(state.parties, tuple(values))
+
+
+def amplitudes_by_entry(raw):
+    """The amplitudes of a state document's list, one entry at a time, so
+    that the first bad entry raises its own error: MalformedDocument for an
+    entry that is not a pair of numbers (a bool is none), NotNormalized for
+    a pair with a part that is not a finite float.  The reference for
+    documents.pure_state_from_doc, which reads the run of good pairs in bulk."""
+    amplitudes = []
+    for entry in raw:
+        if not (isinstance(entry, list) and len(entry) == 2
+                and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                        for x in entry)):
+            raise MalformedDocument("amplitudes: expected [re, im] pairs")
+        amplitudes.append(complex(*_numbers(entry, float, NotNormalized, "amplitude")))
+    return tuple(amplitudes)

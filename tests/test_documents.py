@@ -1,17 +1,19 @@
 """JSON document round trips and validation."""
 
 import json
+import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from quantoid import documents
 from quantoid.entropic import ApproxSetFunction, PureState, von_neumann_entropy_function
-from quantoid.errors import MalformedDocument, MissingSubset
+from quantoid.errors import MalformedDocument, MissingSubset, QuantoidError
 from quantoid.setfn import GroundSet, classify
 from quantoid.sharing import analyze_sharing
 from quantoid.expansion import expansion_correspondence_holds, free_expand_polyquantoid
 
-from helpers import bell, e22, q24, uniform
+from helpers import amplitudes_by_entry, bell, e22, q24, uniform
 
 
 def test_set_function_round_trip():
@@ -123,6 +125,47 @@ def test_distribution_and_state_docs():
     with pytest.raises(MalformedDocument, match="amplitudes"):
         documents.pure_state_from_doc(
             {"parties": ["1"], "dims": [2], "amplitudes": [1.0, 0.0]})
+
+
+INF, NAN = float("inf"), float("nan")
+BAD_AMPLITUDES = [  # entries that are not a pair of finite numbers
+    [INF, 0], [0, -INF], [NAN, 0], [0.5, NAN], [10**400, 0], [0, -10**400],
+    True, [True, 0], [0, False], "x", ["1", 0], None, [None, 0],
+    [1], [1, 0, 0], [], 1.0, [[1, 0]], {"re": 1, "im": 0},
+]
+PART = st.one_of(st.integers(-3, 3), st.floats(-4, 4, allow_nan=False))
+
+
+def _read_state(read, raw):
+    """("state", its amplitudes' repr), or the error's name and message, of
+    a one-party state document whose dimension is the list's length."""
+    doc = {"parties": ["1"], "dims": [max(len(raw), 1)], "amplitudes": raw}
+    try:
+        return "state", repr(read(doc).amplitudes)
+    except QuantoidError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _by_entry(doc):
+    return PureState(GroundSet(tuple(doc["parties"])), tuple(doc["dims"]),
+                     amplitudes_by_entry(doc["amplitudes"]))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(pairs=st.lists(st.tuples(PART, PART), max_size=8),
+       bad=st.lists(st.tuples(st.sampled_from(["first", "middle", "last"]),
+                              st.sampled_from(BAD_AMPLITUDES)), max_size=3))
+@example(pairs=[(1, 0)], bad=[("first", [INF, 0]), ("last", "x")])
+@example(pairs=[(1, 0)], bad=[("first", "x"), ("last", [INF, 0])])
+@example(pairs=[(0.6, 0), (0, 0.8)], bad=[])
+def test_amplitude_reader_matches_the_entry_by_entry_oracle(pairs, bad):
+    # the good pairs are scaled to a unit vector where they can be, so that
+    # a list without a bad entry is read all the way to a state
+    norm = math.sqrt(sum(re * re + im * im for re, im in pairs))
+    raw = [[re / norm, im / norm] if norm not in (0, 1) else [re, im] for re, im in pairs]
+    for where, entry in bad:  # the bad entry first, in the middle or last
+        raw.insert({"first": 0, "middle": len(raw) // 2, "last": len(raw)}[where], entry)
+    assert _read_state(documents.pure_state_from_doc, raw) == _read_state(_by_entry, raw)
 
 
 def test_sharing_report_doc_shape():

@@ -1,5 +1,6 @@
 """Free expansions, adapted sets, 2-factors, and the cross-route check."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -175,6 +176,23 @@ def test_mask_readers_reject_what_lies_outside_the_ground_set():
         _reads_outside(bmap.block_mask, "element", x, 2, 2)
 
 
+def test_mask_readers_reject_a_bool():
+    # Python counts a bool as an int, but it is no mask, element index or count
+    bmap = free_expand_polyquantoid(e22()).map
+    u12 = uniform(1, 2)
+    approx = ApproxSetFunction(u12.ground, (0.0, 1.0, 1.0, 1.5))
+    readers = [("mask", u12.__getitem__), ("mask", approx.__getitem__),
+               ("mask", bmap.image_mask), ("element", bmap.block_mask),
+               ("mask", lambda m: adapted_sets(bmap, m))]
+    for x in (True, False):
+        for name, read in readers:
+            with pytest.raises(TypeError, match=f"^{name} {x} is a bool, not an int$"):
+                read(x)
+        for n, cap in ((x, 2), (2, x)):
+            with pytest.raises(TypeError, match=f"^n {n} and cap {cap} must be ints, not bools$"):
+                next(enumerate_rank_functions("polymatroid", n, cap))
+
+
 # -- 2-factors -------------------------------------------------------------------
 
 def test_two_factor_doubled_u12():
@@ -344,3 +362,39 @@ def test_expansion_size_message_obeys_the_digit_limit(expand):
     big = 10**4300 - 2
     with pytest.raises(ExpansionTooLarge, match="^<a value past the 4300-digit limit> expanded"):
         expand(from_table(["1", "2"], [0, big, big, big]))
+
+
+# -- preconditions ---------------------------------------------------------------
+
+HALF = [0, 17, 17, Fraction(35, 2)]  # a polymatroid, not integer, odd singletons, 34 copies
+ODD_WIDE = [0, 17, 17, 34]  # an integer polymatroid with odd singletons and 34 copies
+WIDE_QUANTOID = [0, 9, 9, 0]  # an integer polyquantoid, no polymatroid, 18 copies
+HALF_QUANTOID = [0, Fraction(19, 2), Fraction(19, 2), 0]  # not integer, 18 copies
+TWO_FAULTS = [  # (source on elements 1 and 2, expansion, the error and message it raises)
+    (HALF, free_expand_polymatroid, NotIntegerPolymatroid, "values on ('1', '2')"),
+    (HALF, two_factor, NotIntegerPolymatroid, "values on ('1', '2')"),
+    (HALF, free_expand_polyquantoid, NotIntegerPolyquantoid, "values on ('1', '2')"),
+    (HALF, expansion_correspondence_holds, NotIntegerPolyquantoid, "values on ('1', '2')"),
+    (ODD_WIDE, free_expand_polymatroid, ExpansionTooLarge,
+     "34 expanded elements (maximum 16)"),
+    (ODD_WIDE, two_factor, OddSingletonValue, "1"),
+    ([0, 18, 17, 35], two_factor, OddSingletonValue, "2"),
+    (ODD_WIDE, free_expand_polyquantoid, NotIntegerPolyquantoid, "values on ('1', '2')"),
+    (WIDE_QUANTOID, free_expand_polymatroid, NotIntegerPolymatroid, "values on ('1', '2')"),
+    (WIDE_QUANTOID, two_factor, NotIntegerPolymatroid, "values on ('1', '2')"),
+    (WIDE_QUANTOID, free_expand_polyquantoid, ExpansionTooLarge,
+     "18 expanded elements (maximum 16)"),
+    (WIDE_QUANTOID, expansion_correspondence_holds, ExpansionTooLarge,
+     "18 expanded elements (maximum 16)"),
+    (HALF_QUANTOID, free_expand_polyquantoid, NotIntegerPolyquantoid, "values on ('1', '2')"),
+    (HALF_QUANTOID, expansion_correspondence_holds, NotIntegerPolyquantoid,
+     "values on ('1', '2')"),
+]
+
+
+@pytest.mark.parametrize("values,expand,error,message", TWO_FAULTS)
+def test_the_first_failed_precondition_names_the_error(values, expand, error, message):
+    # the order: integer and of the kind, then even singletons for a
+    # 2-factor, then at most 16 copies
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        expand(from_table(["1", "2"], values))
