@@ -117,7 +117,7 @@ def _texts(values) -> list:
 
 def _table_doc(ground: GroundSet, values) -> dict:
     """The shape both table documents share: labels, then values by subset key."""
-    return {"ground_set": list(ground.labels), "values": dict(zip(ground.subset_keys(), values))}
+    return {"ground_set": list(ground.labels), "values": dict(zip(ground._subset_keys, values))}
 
 
 def set_function_to_doc(f: SetFunction) -> dict:

@@ -18,19 +18,20 @@ one helper, _dtype, picks the dtype for every table.
 
 One size rule, _GATHER_UP_TO = 8 elements, picks how the increments
 f(S + i) - f(S) are read.  A table of at most 8 elements is worked on
-whole, one numpy call per job: its increment table, inc[i, k] = the gain
-of i at the k-th mask without i, is one gather; classify's
-submodularity, monotonicity and tightness are tests on it, every
-dealer's sharing flags read its rows, and a modular sum (the dual's,
-hat's and vee's) is one product with the membership matrix.  A larger
-table walks, one vector operation per element or pair of elements
-through _halves, which is the faster way from 12 elements up (classify
-by gather against walk, one CPU: 0.9 against 0.4 ms at n = 12, 30-39
-against 4.5-4.7 ms at n = 16).  The dual's per-element gains are one
-gather of the singleton and co-singleton masks at every size.  The index
-plans the gathers read (_coalition_rows, _one_smaller, _singleton_masks)
-depend only on n; each is built on first use, once per n, and kept
-read-only, here for quantoid.sharing too.  Over every size 0..16 they
+whole, one numpy call per job: classify's submodularity test gathers its
+increments, inc[i, k] = the gain of i at the k-th mask without i
+(_gains), and compares them with themselves one element below, and a
+modular sum (the dual's, hat's and vee's) is one product with the
+membership matrix.  A larger table walks, one vector operation per
+element or pair of elements through _halves, which is the faster way
+from 12 elements up (classify by gather against walk, one CPU: 0.9
+against 0.4 ms at n = 12, 30-39 against 4.5-4.7 ms at n = 16).  The
+dual's per-element gains, and f(N) - f(N - i) (_top_gains), are one
+gather of the singleton and co-singleton masks at every size, and
+quantoid.sharing gathers the increments of the dealers it flags.  The
+index plans the gathers read (_coalition_rows, _one_smaller,
+_singleton_masks) depend only on n; each is built on first use, once per
+n, and kept read-only, here for quantoid.sharing too.  Over every size 0..16 they
 hold at most about 26 MB: 17.7 MB of _one_smaller (9.4 MB at n = 16) and
 7.9 MB of _coalition_rows, whose row i is the coalitions of dealer i.
 
@@ -46,10 +47,10 @@ their distinct values and gathers the table from them; a kernel output
 from _from_scaled, which divides the integer table it was built from by
 g = gcd(q, table) and multiplies it by p for a unit p/q.  Whole-function
 results are computed once per SetFunction object, on first use, and
-kept: its dual and, up to 8 elements, its increment table (both
-read-only), the Classification, and quantoid.sharing's flags, one tuple
-per kind.  Equality and quantoid.documents' printing read the table, so
-printing calls str once per distinct value.
+kept: its dual table (read-only), the Classification, and
+quantoid.sharing's flags, one tuple per kind.  Equality and
+quantoid.documents' printing read the table, so printing calls str once
+per distinct value.
 
 _halves is the one split of a table: it gives the views (f(S), f(S+i))
 of the masks S without element i, and every walk over elements or pairs
@@ -119,20 +120,15 @@ def as_rational(value) -> Fraction:
     raise MalformedRational(repr(value))
 
 
-def _outside(name: str, x: int, end: int, n: int) -> ValueError:
-    """The error for a mask or element index x not in 0 .. end - 1."""
-    return ValueError(f"{name} {x} is outside 0 .. {end - 1} for {n} elements")
-
-
 def _in_range(name: str, x: int, end: int, n: int) -> int:
-    """x, when 0 <= x < end; otherwise _outside's ValueError.  A bool is
-    a TypeError: Python counts it as an int, but it is no mask, element
-    index or count."""
+    """x, when 0 <= x < end; otherwise a ValueError naming the range.  A
+    bool is a TypeError: Python counts it as an int, but it is no mask,
+    element index or count."""
     if isinstance(x, bool):
         raise TypeError(f"{name} {x!r} is a bool, not an int")
     if 0 <= x < end:
         return x
-    raise _outside(name, x, end, n)
+    raise ValueError(f"{name} {x} is outside 0 .. {end - 1} for {n} elements")
 
 
 def _show(x) -> str:
@@ -206,7 +202,7 @@ class GroundSet:
     def members(self, mask: int) -> tuple[str, ...]:
         """Member labels of the subset, in ground-set order: key_of(mask)
         split at its commas, which no label holds.  A mask outside
-        0 .. 2^n - 1 is a ValueError."""
+        0 .. 2^n - 1 is a ValueError, and a bool a TypeError."""
         key = self.key_of(mask)
         return tuple(key.split(",")) if key else ()
 
@@ -214,17 +210,17 @@ class GroundSet:
         """Canonical subset key: member labels in ground-set order, comma-joined.
 
         The empty set is the empty string.  A mask outside 0 .. 2^n - 1 is a
-        ValueError.  The key is read from the cached subset keys, so the
-        first call on a ground set builds all 2^n of them (about 8 ms at
-        n = 16 on one CPU of a 2-vCPU VM).  Besides members, only error
-        messages call it (sharing._not_ideal_reason,
-        entropic.snap_to_rational), possibly on a ground set whose keys are
-        not built yet.
+        ValueError, and a bool a TypeError (see _in_range).  The key is read
+        from the cached subset keys, so the first call on a ground set
+        builds all 2^n of them (about 8 ms at n = 16 on one CPU of a 2-vCPU
+        VM).  Besides members, only error messages call it
+        (sharing._not_ideal_reason, entropic.snap_to_rational), possibly on
+        a ground set whose keys are not built yet.
         """
         keys = self._subset_keys
-        if 0 <= mask < len(keys):
+        if type(mask) is not bool and 0 <= mask < len(keys):
             return keys[mask]
-        raise _outside("mask", mask, len(keys), self.n)
+        return keys[_in_range("mask", mask, len(keys), self.n)]  # raises
 
     def subset_keys(self) -> list[str]:
         """key_of(m) for every subset mask m, in increasing order.
@@ -272,11 +268,10 @@ class SetFunction:
 
     def __setstate__(self, state: dict):
         # copy.deepcopy and pickle rebuild each array writeable: mark the
-        # table and any cached dual or increment table read-only again
+        # table and any cached dual table read-only again
         self.__dict__.update(state)
-        for name in ("_dual_table", "_increment_table"):
-            if name in state:
-                state[name].flags.writeable = False
+        if "_dual_table" in state:
+            state["_dual_table"].flags.writeable = False
         state["_scaled_table"][0].flags.writeable = False
 
     @functools.cached_property
@@ -286,18 +281,6 @@ class SetFunction:
         d = _dual(self._scaled_table[0], self.n)
         d.flags.writeable = False
         return d
-
-    @functools.cached_property
-    def _increment_table(self) -> np.ndarray:
-        """inc[i, k] = a[rows[i, k] | 1 << i] - a[rows[i, k]] on the integer
-        table a, with rows = _coalition_rows(n): the gain of element i at
-        the k-th mask without i.  Built on first use, in one gather, and
-        read-only; classify and quantoid.sharing's flags read it for
-        tables of at most _GATHER_UP_TO elements."""
-        a = self._scaled_table[0]
-        inc = _gains(a, _coalition_rows(self.n), _singleton_masks(self.n)[0])
-        inc.flags.writeable = False
-        return inc
 
     @functools.cached_property
     def _classification(self) -> Classification:
@@ -345,7 +328,7 @@ class SetFunction:
 
     def table(self) -> dict:
         """Mapping from canonical subset key to value, in mask order."""
-        return dict(zip(self.ground.subset_keys(), self.values))
+        return dict(zip(self.ground._subset_keys, self.values))
 
 
 def build(labels: Sequence, values: Mapping) -> SetFunction:
@@ -598,10 +581,10 @@ def _classify(f: SetFunction) -> Classification:
     The table is scaled by the lcm of its denominators (see the module
     docstring for the int64 overflow guard).  Submodularity is the local
     two-point criterion: the gain of i at S is at least its gain at S + j.
-    For 0 < n <= _GATHER_UP_TO it is one comparison of the increment table
-    with itself one element below; past that, one vector comparison per
-    pair of elements.  On a submodular table, nondecreasing needs only
-    f(N - i) <= f(N) for every i; other tables test every gain.  Tight is
+    For 0 < n <= _GATHER_UP_TO it gathers the increments and compares them
+    with themselves one element below; past that, one vector comparison
+    per pair of elements.  On a submodular table, nondecreasing needs only
+    f(N - i) <= f(N) for every i; other tables walk every gain.  Tight is
     f(N - i) == f(N).  Selfduality compares the table with the cached dual
     table.  No flag reads the unscaled values: `integer` is den == 1, and
     the singletons-in-{0, 1} part of matroid and quantoid reads the table,
@@ -611,19 +594,15 @@ def _classify(f: SetFunction) -> Classification:
     a, den = f._scaled_table
 
     normalized = bool(a[0] == 0)
-    gathered = 0 < n <= _GATHER_UP_TO
-    if gathered:
+    if 0 < n <= _GATHER_UP_TO:
         # below[k, j] is k without j, or k itself, where the test holds trivially
-        inc = f._increment_table
+        inc = _gains(a, _coalition_rows(n), _singleton_masks(n)[0])
         submodular = bool((inc.take(_one_smaller(n - 1)[0], axis=1) >= inc[:, :, None]).all())
-        top = inc[:, -1]  # the last mask without i is N - i
     else:
         submodular = _submodular(a, n)
-        top = _top_gains(a, n)
-    if submodular:  # a submodular f's gains of i shrink as S grows: the least is at N - i
-        nondecreasing = bool((top >= 0).all())
-    else:
-        nondecreasing = bool((inc >= 0).all()) if gathered else _nondecreasing(a, n)
+    top = _top_gains(a, n)
+    # a submodular f's gains of i shrink as S grows: the least is at N - i
+    nondecreasing = bool((top >= 0).all()) if submodular else _nondecreasing(a, n)
     complementary = bool((a == a[::-1]).all())  # N-m is full - m
     tight = bool((top == 0).all())
     integer = den == 1

@@ -20,16 +20,15 @@ authorized.  Circuits, the minimal dependent sets, are found the same way.
 
 The batching follows quantoid.setfn's one size rule, _GATHER_UP_TO = 8.
 analyze_sharing (and the extractions) flag every dealer of a function
-with at most 8 elements in one pass on the first request, reading the
-dealers' rows of the function's increment table (the one classify
-built), and keep the flags on the SetFunction, one tuple per kind (at
-most 2 * 8 * 128 masks a kind).  A larger function gathers the increment
-of the requested dealer alone, and flags it, each time: building its
-whole table would cost n rows per request, and at n = 12 a pass over
-every dealer about 3 ms.  The index plans (_one_smaller, _coalition_rows,
-_singleton_masks) live in quantoid.setfn, built once per n.
-Coalitions are named through GroundSet.members, which reads the ground
-set's cached subset keys.
+with at most 8 elements in one pass on the first request, gathering the
+increments of every dealer at once, and keep the flags on the
+SetFunction, one tuple per kind (at most 2 * 8 * 128 masks a kind).  A
+larger function gathers the increment of the requested dealer alone,
+and flags it, each time: a pass over every dealer would cost n rows per
+request, about 3 ms at n = 12.  The index plans (_one_smaller,
+_coalition_rows, _singleton_masks) live in quantoid.setfn, built once
+per n.  Coalitions are named through GroundSet.members, which reads the
+ground set's cached subset keys.
 
 Ideal dealers force matroid structure: the polymatroid is a positive
 multiple of a matroid rank function, which extract_matroid recovers; for
@@ -108,10 +107,7 @@ def _flag_rows(f: SetFunction, dealers: Sequence[int], quantum: bool) -> tuple:
     singletons = _singleton_masks(n)[0]
     singles = a.take(singletons)
     secret = singles[rows][:, None]
-    # each dealer's increment: its rows of the function's table, or past the
-    # limit, where that table would cost n rows, a gather of its own rows
-    inc = (f._increment_table[rows] if n <= _GATHER_UP_TO
-           else _gains(a, coalitions, singletons[rows]))
+    inc = _gains(a, coalitions, singletons[rows])  # each dealer's increment
     authorized = inc == (-secret if quantum else 0)
     full_info = inc == secret
     allowed = authorized | full_info

@@ -183,7 +183,8 @@ def test_mask_readers_reject_a_bool():
     approx = ApproxSetFunction(u12.ground, (0.0, 1.0, 1.0, 1.5))
     readers = [("mask", u12.__getitem__), ("mask", approx.__getitem__),
                ("mask", bmap.image_mask), ("element", bmap.block_mask),
-               ("mask", lambda m: adapted_sets(bmap, m))]
+               ("mask", lambda m: adapted_sets(bmap, m)),
+               ("mask", u12.ground.key_of), ("mask", u12.ground.members)]
     for x in (True, False):
         for name, read in readers:
             with pytest.raises(TypeError, match=f"^{name} {x} is a bool, not an int$"):

@@ -17,7 +17,6 @@ from quantoid.entropic import ApproxSetFunction, snap_to_rational
 from quantoid.expansion import free_expand_polymatroid, free_expand_polyquantoid, two_factor
 from quantoid.setfn import (
     SetFunction,
-    _GATHER_UP_TO,
     _modular,
     _scaled,
     build,
@@ -112,11 +111,11 @@ def test_corpus_sees_every_flag_both_ways():
 @pytest.mark.parametrize("top,dtype", [(1, np.int64), (2**70, object)], ids=["int64", "object"])
 def test_cached_table_is_read_only(top, dtype):
     f = scale(uniform(2, 3), top)
-    f._dual_table, f._increment_table  # noqa: B018 -- cached, so copies carry them
+    f._dual_table  # noqa: B018 -- cached, so copies carry it
     for g in (f, copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
         a, _ = g._scaled_table
         assert a.dtype == dtype and g._scaled_table[0] is a and g == f
-        for table in (a, g.__dict__["_dual_table"], g.__dict__["_increment_table"]):
+        for table in (a, g.__dict__["_dual_table"]):
             with pytest.raises(ValueError):
                 table[0] = 1
             with pytest.raises(ValueError):
@@ -366,13 +365,12 @@ def test_increment_table_classify_dual_and_flags_equal_loops():
         a = f._scaled_table[0]
         c = classify(f)
         assert c == classify_loops(f) and is_tight(f) == c.tight
-        # only a table within the limit reads (and so builds) its increments
-        gathered = 0 < n <= _GATHER_UP_TO
-        assert ("_increment_table" in vars(f)) == gathered
         seen.add((n, a.dtype == object, c.submodular, c.nondecreasing))
 
-        inc, t = f._increment_table, a.tolist()  # the oracles add Python ints
-        assert inc.dtype == a.dtype and not inc.flags.writeable
+        # the increments as classify gathers them up to the limit, checked on both sides of it
+        inc = setfn._gains(a, setfn._coalition_rows(n), setfn._singleton_masks(n)[0])
+        t = a.tolist()  # the oracles add Python ints
+        assert inc.dtype == a.dtype
         assert inc.tolist() == [[t[m | 1 << i] - t[m] for m in range(1 << n) if not m >> i & 1]
                                 for i in range(n)]
 
