@@ -35,11 +35,15 @@ _INF = float("inf")
 def dumps(doc) -> str:
     """Canonical JSON text: two-space indent, insertion order, trailing newline.
 
-    One writer produces every output document; its bytes equal
-    json.dumps(doc, indent=2, ensure_ascii=False) + "\\n", and whatever
-    json.dumps rejects as a value or key raises TypeError here too.  There
-    is no check for a container that holds itself, which no document
-    does: it ends in RecursionError, where json.dumps raises ValueError.
+    One writer produces every output document, and its bytes equal
+    json.dumps(doc, indent=2, ensure_ascii=False) + "\\n".  The writer owns
+    only the layout: the indentation, and the common leaves (a plain str,
+    finite float, bool or None) written inline.  json spells everything
+    else, every other leaf (a subclass among them) and every key that is
+    not a plain str, so whatever json.dumps rejects as a value or key
+    raises TypeError here too.  There is no check for a container that
+    holds itself, which no document does: it ends in RecursionError, where
+    json.dumps raises ValueError.
     """
     return _text(doc, "") + "\n"
 
@@ -47,14 +51,14 @@ def dumps(doc) -> str:
 def _text(x, outer: str) -> str:
     """x as json.dumps writes it, nested under the indent `outer`."""
     pad = outer + "  "
-    if isinstance(x, dict):  # json quotes the text of a number, bool or None key
-        parts = [(_encode(k) if isinstance(k, str) else '"' + _scalar(k) + '"') + ": " + v
-                 for k, v in zip(x, _parts(x.values(), pad))]
+    if isinstance(x, dict):  # json's key rule quotes a number, bool or None key
+        parts = [(_encode(k) if type(k) is str else json.dumps({k: 0}, ensure_ascii=False)[1:-4])
+                 + ": " + v for k, v in zip(x, _parts(x.values(), pad))]
         brackets = "{}"
     elif isinstance(x, (list, tuple)):
         parts, brackets = _parts(x, pad), "[]"
     else:
-        return _scalar(x)
+        return json.dumps(x, ensure_ascii=False)
     if not parts:
         return brackets
     return brackets[0] + "\n" + pad + (",\n" + pad).join(parts) + "\n" + outer + brackets[1]
@@ -68,20 +72,6 @@ def _parts(values, pad: str) -> list:
             else ("true" if v else "false") if type(v) is bool
             else "null" if v is None
             else _text(v, pad) for v in values]
-
-
-def _scalar(x) -> str:
-    """A leaf as json.dumps writes it; TypeError where json.dumps raises one."""
-    if isinstance(x, str):
-        return _encode(x)
-    if x is None or x is True or x is False:
-        return "null" if x is None else "true" if x else "false"
-    if isinstance(x, int):
-        return int.__repr__(x)
-    if isinstance(x, float):
-        return (float.__repr__(x) if -_INF < x < _INF
-                else "NaN" if x != x else "Infinity" if x > 0 else "-Infinity")
-    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def _is_number(x) -> bool:

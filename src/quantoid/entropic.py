@@ -129,8 +129,7 @@ def _numbers(raw, kind: type, error: type, what: str) -> tuple:
     accepted = numbers.Real if kind is float else numbers.Complex
     if not set(map(type, raw)) <= plain:
         for x in raw:
-            if type(x) not in plain and (isinstance(x, (bool, np.bool_))
-                                         or not isinstance(x, accepted)):
+            if type(x) not in plain and (isinstance(x, bool) or not isinstance(x, accepted)):
                 raise error(f"{what} {x!r} is not a {'real' if kind is float else 'complex'} number")
     try:
         out = tuple(map(kind, raw))

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -134,12 +135,13 @@ def adapted_sets(block_map: BlockMap, subset) -> tuple:
     """All source subsets J adapted to K: every element whose nonempty block
     lies inside K belongs to J, and every element of J has a block meeting K.
 
-    `subset` is a mask in the expanded ground set (a mask outside
-    0 .. 2^n - 1 is a ValueError), or an iterable of expanded labels.
+    `subset` is a mask in the expanded ground set, of any integer type (a
+    mask outside 0 .. 2^n - 1 is a ValueError, and a bool a TypeError), or
+    an iterable of expanded labels.
     Returns member-label tuples in ascending mask order.
     """
     g = block_map.expanded
-    K = (_in_range("mask", subset, 1 << g.n, g.n) if isinstance(subset, int)
+    K = (_in_range("mask", subset, 1 << g.n, g.n) if isinstance(subset, numbers.Integral)
          else g.mask_of(subset))
     upper = 0
     lower = 0

@@ -1,5 +1,6 @@
 """JSON document round trips and validation."""
 
+import enum
 import json
 import math
 
@@ -73,6 +74,18 @@ ODD_LABELS = ['"', "\\", "\n", "\t", "\x00", "\u2028", "é", "\U0001d11e", 'a"b\
 ODD_FLOATS = [-0.0, 5e-324, 1e22, 0.1, float("nan"), float("inf"), float("-inf")]
 
 
+class Level(enum.IntEnum):
+    LOW = 1
+
+
+class Real(float):
+    pass
+
+
+class Text(str):
+    pass
+
+
 EDGE_CASES = {
     "empty-dict": {}, "empty-list": [], "empty-tuple": (), "int": 0, "empty-str": "", "null": None,
     "depth-1": {"a": {}}, "depth-1-list": [[]], "depth-2": {"a": [{"b": []}]},
@@ -84,6 +97,8 @@ EDGE_CASES = {
     "scalars": [10 ** 40, -10 ** 40, True, False, None, (1, ("a", ())), {"t": (True, None)}],
     "scalar-keys": {2: "int", -2.5: "float", float("nan"): 0, float("inf"): 1,
                     True: [], False: {}, None: ()},
+    "subclass-values": [Level.LOW, Real(0.5), Real("-inf"), Text('a"é')],
+    "subclass-keys": {Level.LOW: 0, Real(0.5): 1, Real("nan"): 2, Text('a"é'): 3},
 }
 
 

@@ -3,6 +3,7 @@
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from quantoid import expansion
@@ -192,6 +193,21 @@ def test_mask_readers_reject_a_bool():
         for n, cap in ((x, 2), (2, x)):
             with pytest.raises(TypeError, match=f"^n {n} and cap {cap} must be ints, not bools$"):
                 next(enumerate_rank_functions("polymatroid", n, cap))
+
+
+def test_mask_readers_accept_a_numpy_integer():
+    # a numpy integer reads as the int it equals, inside the range and outside it
+    bmap = free_expand_polyquantoid(e22()).map
+    u12 = uniform(1, 2)
+    approx = ApproxSetFunction(u12.ground, (0.0, 1.0, 1.0, 1.5))
+    readers = [("mask", 4, 2, u12.__getitem__), ("mask", 4, 2, approx.__getitem__),
+               ("mask", 4, 2, bmap.image_mask), ("element", 2, 2, bmap.block_mask),
+               ("mask", 16, 4, lambda m: adapted_sets(bmap, m)),
+               ("mask", 4, 2, u12.ground.key_of), ("mask", 4, 2, u12.ground.members)]
+    for name, end, n, read in readers:
+        for x in range(end):
+            assert read(np.int64(x)) == read(x)
+        _reads_outside(lambda m: read(np.int64(m)), name, end, end, n)
 
 
 # -- 2-factors -------------------------------------------------------------------
