@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import sys
+from fractions import Fraction
 from itertools import chain, takewhile
 from typing import TYPE_CHECKING
 
@@ -49,29 +50,32 @@ def dumps(doc) -> str:
 
 
 def _text(x, outer: str) -> str:
-    """x as json.dumps writes it, nested under the indent `outer`."""
+    """x as json.dumps writes it, nested under the indent `outer`.  Each
+    container is one comprehension, with the common leaves written inline,
+    so only nested containers and rare leaves cost a call.  The leaf
+    expression is spelled twice, for dict values and for list items: a
+    shared one, over (key prefix, value) pairs, measured slower."""
     pad = outer + "  "
     if isinstance(x, dict):  # json's key rule quotes a number, bool or None key
         parts = [(_encode(k) if type(k) is str else json.dumps({k: 0}, ensure_ascii=False)[1:-4])
-                 + ": " + v for k, v in zip(x, _parts(x.values(), pad))]
+                 + ": " + (_encode(v) if type(v) is str
+                           else float.__repr__(v) if type(v) is float and -_INF < v < _INF
+                           else ("true" if v else "false") if type(v) is bool
+                           else "null" if v is None
+                           else _text(v, pad)) for k, v in x.items()]
         brackets = "{}"
     elif isinstance(x, (list, tuple)):
-        parts, brackets = _parts(x, pad), "[]"
+        parts = [_encode(v) if type(v) is str
+                 else float.__repr__(v) if type(v) is float and -_INF < v < _INF
+                 else ("true" if v else "false") if type(v) is bool
+                 else "null" if v is None
+                 else _text(v, pad) for v in x]
+        brackets = "[]"
     else:
         return json.dumps(x, ensure_ascii=False)
     if not parts:
         return brackets
     return brackets[0] + "\n" + pad + (",\n" + pad).join(parts) + "\n" + outer + brackets[1]
-
-
-def _parts(values, pad: str) -> list:
-    # the common leaves are written inline, so only containers and rare
-    # leaves cost a call
-    return [_encode(v) if type(v) is str
-            else float.__repr__(v) if type(v) is float and -_INF < v < _INF
-            else ("true" if v else "false") if type(v) is bool
-            else "null" if v is None
-            else _text(v, pad) for v in values]
 
 
 def _is_number(x) -> bool:
@@ -111,12 +115,15 @@ def _table_doc(ground: GroundSet, values) -> dict:
 
 
 def set_function_to_doc(f: SetFunction) -> dict:
-    """The set-function document of f, read off its integer table: one int
-    per distinct value, so str runs once per distinct value, not once per
-    mask.  Every function carries that table from the moment it exists."""
-    ints = f._scaled_table[0].tolist()
-    distinct = dict(zip(ints, f.values))
-    text = dict(zip(distinct, _texts(distinct.values())))
+    """The set-function document of f, read off its integer table (table,
+    den), which every function carries from the moment it exists: str
+    runs once per distinct int x, on x itself when den is 1 and on
+    Fraction(x, den) otherwise, not once per mask, and f.values is not
+    read."""
+    ints, den = f._scaled_table[0].tolist(), f._scaled_table[1]
+    distinct = dict.fromkeys(ints)
+    text = dict(zip(distinct, _texts(distinct if den == 1 else
+                                     (Fraction(x, den) for x in distinct))))
     return _table_doc(f.ground, map(text.__getitem__, ints))
 
 

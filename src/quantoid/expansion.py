@@ -188,7 +188,7 @@ def _checked(f: SetFunction, kind: str):
     if not (cls.integer and (cls.polyquantoid if quantum else cls.polymatroid)):
         error = NotIntegerPolyquantoid if quantum else NotIntegerPolymatroid
         raise error(f"values on {f.labels}")
-    singles = [int(f.values[1 << i]) for i in range(f.n)]
+    singles = [int(f._scaled_table[0][1 << i]) for i in range(f.n)]  # den is 1
     if kind == TWO_FACTOR and (odd := [x for x, s in zip(f.labels, singles) if s % 2]):
         raise OddSingletonValue(odd[0])
     if (total := sum(singles)) > MAX_GROUND_SIZE:
@@ -198,14 +198,15 @@ def _checked(f: SetFunction, kind: str):
 def _expand(f: SetFunction, kind: str) -> Expansion:
     """The `kind` expansion of a validated f, with no size check.
 
-    The block sizes come from f's singleton values and one unit, pair: 2
+    The block sizes come from f's singleton values, read off its integer
+    table (a validated f has den 1), and one unit, pair: 2
     for a 2-factor, whose block k of element i stands for copies i.(2k)
     and i.(2k+1), and 1 otherwise.  Block i has f(i) / pair elements, each
     costing pair; only a quantoid expansion also charges the copies of J
     that K misses.
     """
     pair = 2 if kind == TWO_FACTOR else 1
-    sizes = [int(f.values[1 << i]) // pair for i in range(f.n)]
+    sizes = [int(f._scaled_table[0][1 << i]) // pair for i in range(f.n)]
     bmap = BlockMap.from_sizes(f.ground, sizes)
     table = _count_table(f._scaled_table[0], sizes, pair, kind == QUANTOID_EXPANSION)
     # each copy in block i adds the place value of digit i to the index

@@ -39,18 +39,19 @@ Every SetFunction carries its integer table, read-only, from the moment
 it exists: (table, den) = _scaled(values) is its _scaled_table, and the
 integer table runs from parse to print.  SetFunction and from_table
 scale the checked values once, in __post_init__.  Every function the
-library builds skips those checks and is handed its table (_handed): a
-parsed function (build) and a snapped one
+library builds skips those checks and is handed its table alone
+(_handed): a parsed function (build) and a snapped one
 (quantoid.entropic.snap_to_rational) from _gathered, which scales only
 their distinct values and gathers the table from them; a kernel output
 (an enumerated table, dual, hat, vee, scale, an expansion or 2-factor)
 from _from_scaled, which divides the integer table it was built from by
-g = gcd(q, table) and multiplies it by p for a unit p/q.  Whole-function
-results are computed once per SetFunction object, on first use, and
-kept: its dual table (read-only), the Classification, and
-quantoid.sharing's flags, one tuple per kind.  Equality and
-quantoid.documents' printing read the table, so printing calls str once
-per distinct value.
+g = gcd(q, table) and multiplies it by p for a unit p/q.  The values of
+such a function, one Fraction per mask, are made from (table, den) on
+first read and kept; no output needs them.  Whole-function results are
+computed once per SetFunction object, on first use, and kept: its dual
+table (read-only), the Classification, and quantoid.sharing's flags, one
+tuple per kind.  Equality and quantoid.documents' printing read the
+table, so printing calls str once per distinct value.
 
 _halves is the one split of a table: it gives the views (f(S), f(S+i))
 of the masks S without element i, and every walk over elements or pairs
@@ -97,15 +98,20 @@ def as_rational(value) -> Fraction:
     the digits on the longer side of "/", plus the exponent's magnitude,
     must stay within it.  So "1e5000" is rejected before Fraction builds
     10**5000, and "0." followed by 4300 ones (denominator 10**4300) is
-    rejected at the default limit of 4300.
+    rejected at the default limit of 4300.  A string of decimal digits
+    alone, within the limit (or any length, with the limit off), is read
+    by int, as Fraction would read it; every other string takes
+    Fraction's parse.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        mantissa, e, exponent = value.lower().partition("e")
         limit = sys.get_int_max_str_digits()
+        if value.isdecimal() and (len(value) <= limit or not limit):
+            return Fraction(int(value))
+        mantissa, e, exponent = value.lower().partition("e")
         try:
             # a string no longer than the limit, with no exponent, cannot pass it
             if limit and (e or len(value) > limit):
@@ -200,11 +206,13 @@ class GroundSet:
         return mask
 
     def members(self, mask: int) -> tuple[str, ...]:
-        """Member labels of the subset, in ground-set order: key_of(mask)
-        split at its commas, which no label holds.  A mask outside
+        """Member labels of the subset, in ground-set order, read from the
+        cached member tuples (_subset_members).  A mask outside
         0 .. 2^n - 1 is a ValueError, and a bool a TypeError."""
-        key = self.key_of(mask)
-        return tuple(key.split(",")) if key else ()
+        members = self._subset_members
+        if type(mask) is not bool and 0 <= mask < len(members):
+            return members[mask]
+        return members[_in_range("mask", mask, len(members), self.n)]  # raises
 
     def key_of(self, mask: int) -> str:
         """Canonical subset key: member labels in ground-set order, comma-joined.
@@ -213,7 +221,7 @@ class GroundSet:
         ValueError, and a bool a TypeError (see _in_range).  The key is read
         from the cached subset keys, so the first call on a ground set
         builds all 2^n of them (about 8 ms at n = 16 on one CPU of a 2-vCPU
-        VM).  Besides members, only error messages call it
+        VM).  Only error messages call it
         (sharing._not_ideal_reason, entropic.snap_to_rational), possibly on
         a ground set whose keys are not built yet.
         """
@@ -239,6 +247,15 @@ class GroundSet:
             keys += [f"{x},{label}" if x else label for x in keys]
         return tuple(keys)
 
+    @functools.cached_property
+    def _subset_members(self) -> tuple[tuple[str, ...], ...]:
+        """members(m) for every subset mask m, built by doubling as
+        _subset_keys is, once per GroundSet object."""
+        members = [()]
+        for label in self.labels:
+            members += [x + (label,) for x in members]
+        return tuple(members)
+
     def mask_of_key(self, key: str) -> int:
         """Inverse of key_of.  Accepts members in any order but rejects repeats."""
         return self.mask_of(key.split(",")) if key else 0
@@ -251,7 +268,7 @@ class SetFunction:
     Each carries _scaled_table = _scaled(values), (table, den) with the
     table read-only, from the moment it exists: __post_init__ scales the
     checked values, and _handed hands a table to the functions the library
-    builds.
+    builds, whose values are made from it on first read (__getattr__).
     """
 
     ground: GroundSet
@@ -265,6 +282,17 @@ class SetFunction:
         a, den = _scaled(values)
         a.flags.writeable = False
         self.__dict__.update(values=values, _scaled_table=(a, den))
+
+    def __getattr__(self, name: str):
+        """values, made from (table, den) on first read, one Fraction per
+        distinct int, and kept in __dict__, where lookup finds it from then
+        on.  Any other name, or values before the table is set, is an
+        AttributeError."""
+        if name != "values" or "_scaled_table" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        ints, den = self._scaled_table[0].tolist(), self._scaled_table[1]
+        value = {x: Fraction(x, den) for x in set(ints)}
+        return self.__dict__.setdefault("values", tuple(map(value.__getitem__, ints)))
 
     def __setstate__(self, state: dict):
         # copy.deepcopy and pickle rebuild each array writeable: mark the
@@ -396,45 +424,41 @@ def _scaled(values: Sequence[Fraction], n: int | None = None) -> tuple[np.ndarra
     return np.array(nums, dtype=_dtype(nums, n)), den
 
 
-def _handed(ground: GroundSet, values: tuple, table: np.ndarray, den: int) -> SetFunction:
-    """The set function with these values, which must be Fractions, built
-    without SetFunction's checks; (table, den) must be _scaled(values), and
-    becomes its _scaled_table, read-only."""
+def _handed(ground: GroundSet, table: np.ndarray, den: int) -> SetFunction:
+    """The set function with values table / den, built without
+    SetFunction's checks; (table, den) must be what _scaled gives for
+    those values, and becomes its _scaled_table, read-only.  Its values
+    are made on first read (SetFunction.__getattr__)."""
     table.flags.writeable = False
     f = object.__new__(SetFunction)
-    f.__dict__.update(ground=ground, values=values, _scaled_table=(table, den))
+    f.__dict__.update(ground=ground, _scaled_table=(table, den))
     return f
 
 
 def _gathered(ground: GroundSet, distinct: list, index: list) -> SetFunction:
     """The set function with value distinct[index[m]] on each mask m,
-    handed its table: only the distinct Fractions are scaled, and the
-    table is gathered from them.  den is the lcm of their reduced
-    denominators, so gcd(den, table) = 1, as in _scaled(values)."""
+    handed its table alone: only the distinct Fractions are scaled, and
+    the table is gathered from them; no Fraction is gathered per mask.
+    den is the lcm of their reduced denominators, so gcd(den, table) = 1,
+    as in _scaled(values)."""
     nums, den = _scaled(distinct, ground.n)
-    return _handed(ground, tuple(map(distinct.__getitem__, index)), nums.take(index), den)
+    return _handed(ground, nums.take(index), den)
 
 
 def _from_scaled(ground: GroundSet, table: np.ndarray, unit: Fraction) -> SetFunction:
-    """The set function with value x * unit on each mask, x read from table.
-
-    Tables repeat values, so each distinct x becomes a Fraction once; the
-    values, one Fraction per mask, skip SetFunction's checks.  With unit
-    p/q and g = gcd(q, table), _scaled(values) is (table // g) * p over den
-    q // g, in the dtype _dtype picks for those integers, and it becomes
-    the new function's _scaled_table: the table itself when g = p = 1 and
-    its dtype is that one, a new array otherwise.
+    """The set function with value x * unit on each mask, x read from table,
+    handed its table.  With unit p/q and g = gcd(q, table), that table is
+    (table // g) * p over den q // g, in the dtype _dtype picks for those
+    integers: the table itself when g = p = 1 and its dtype is that one, a
+    new array otherwise.  No Fraction is made.
     """
-    ints = table.tolist()
-    distinct = set(ints)
+    distinct = set(table.tolist())
     p, q = unit.numerator, unit.denominator
-    value = {x: Fraction(x * p, q) for x in distinct}
-    values = tuple(map(value.__getitem__, ints))
     g = math.gcd(q, *distinct)
     dtype = _dtype((x // g * p for x in distinct), ground.n)
     if g != 1 or p != 1 or table.dtype != dtype:
         table = (table // g).astype(dtype) * p
-    return _handed(ground, values, table, q // g)
+    return _handed(ground, table, q // g)
 
 
 # tables of at most this many elements are worked on whole, one gather or

@@ -27,8 +27,9 @@ larger function gathers the increment of the requested dealer alone,
 and flags it, each time: a pass over every dealer would cost n rows per
 request, about 3 ms at n = 12.  The index plans (_one_smaller,
 _coalition_rows, _singleton_masks) live in quantoid.setfn, built once
-per n.  Coalitions are named through GroundSet.members, which reads the
-ground set's cached subset keys.
+per n.  analyze_sharing names each family of coalitions with one map
+over the ground set's member tuples (GroundSet._subset_members), built
+once per ground set, and only when a family is not empty.
 
 Ideal dealers force matroid structure: the polymatroid is a positive
 multiple of a matroid rank function, which extract_matroid recovers; for
@@ -122,12 +123,12 @@ def _flag_rows(f: SetFunction, dealers: Sequence[int], quantum: bool) -> tuple:
     same = (singles == secret).all(axis=1)  # singletons equal the secret
     ideal = perfect & hits.all(axis=1) & same
     return tuple(
-        _Flags(perf, tuple(masks[auth].tolist()), tuple(masks[mini].tolist()),
+        _Flags(perf, tuple(compress(masks, auth)), tuple(compress(masks, mini)),
                tuple(compress([j for j in range(n) if j != i], hit)), ok,
-               None if perf else int(masks[at]))
+               None if perf else masks[at])
         for i, masks, auth, mini, hit, perf, ok, at in zip(
-            rows.tolist(), coalitions, authorized, minimal, hits.tolist(),
-            perfect.tolist(), ideal.tolist(), first.tolist()))
+            rows.tolist(), coalitions.tolist(), authorized.tolist(), minimal.tolist(),
+            hits.tolist(), perfect.tolist(), ideal.tolist(), first.tolist()))
 
 
 def _not_ideal_reason(f: SetFunction, dealer_idx: int, flags: _Flags) -> str:
@@ -170,7 +171,8 @@ def _extraction(f: SetFunction, idx: int, quantum: bool) -> tuple:
     # f is validated and dealer idx is ideal, so the polymatroid h (f, or the
     # to_polymatroid partner of a polyquantoid) is t times a matroid rank
     h = to_polymatroid(f) if quantum else f
-    t = h.values[1 << idx] or Fraction(1)  # a zero dealer makes h zero; take t = 1
+    a, den = h._scaled_table
+    t = Fraction(int(a[1 << idx]), den) or Fraction(1)  # a zero dealer makes h zero; take t = 1
     return t, scale(h, 1 / t)
 
 
@@ -178,12 +180,15 @@ def analyze_sharing(f: SetFunction, dealer, kind: str = POLYMATROID) -> SharingR
     """Full sharing analysis of one dealer; f must pass classify for `kind`."""
     idx, flags = _validated_flags(f, dealer, kind)
     extraction = _extraction(f, idx, kind == POLYQUANTOID) if flags.ideal else None
+    # the member tuples are built only for a family that has a coalition
+    authorized, minimal = (tuple(map(f.ground._subset_members.__getitem__, masks))
+                           if masks else () for masks in (flags.authorized, flags.minimal))
 
     return SharingReport(
         dealer=f.ground.labels[idx],
         perfect=flags.perfect,
-        authorized=tuple(map(f.ground.members, flags.authorized)),
-        minimal_authorized=tuple(map(f.ground.members, flags.minimal)),
+        authorized=authorized,
+        minimal_authorized=minimal,
         essential=tuple(f.ground.labels[i] for i in flags.essential),
         ideal=flags.ideal,
         extraction=extraction,

@@ -36,7 +36,7 @@ def uniform(k, n, labels=None):
 
 def members_loops(g, mask):
     """The member labels of a mask, one bit at a time: the reference for
-    GroundSet.members, which reads the cached subset keys."""
+    GroundSet.members, which reads the cached member tuples."""
     return tuple(g.labels[i] for i in range(g.n) if mask >> i & 1)
 
 

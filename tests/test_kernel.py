@@ -301,6 +301,60 @@ def test_printing_equals_str_of_every_value():
     assert kept == {True}  # every function carries its table to print
 
 
+def value_builders():
+    """Each path that builds a SetFunction, as a thunk that builds fresh
+    functions, so that no value of theirs has been read yet."""
+    h, e = scale(uniform(2, 4), 2), q24()
+    thirds = from_table(labels_for(3), [Fraction(m.bit_count(), 3) for m in range(8)])
+    return {
+        "SetFunction": lambda: [SetFunction(h.ground, (0, Fraction(1, 2), "1/2", 1) * 4)],
+        "from_table": lambda: [from_table(labels_for(3), [Fraction(m, 3) for m in range(8)]),
+                               from_table(labels_for(2), [0, 2**70, 1, -3])],
+        "build": lambda: [build(labels_for(2), {"": "0", "1": "1/2", "2": "1/2", "1,2": "2/4"}),
+                          build(labels_for(1), {"": 0, "1": Fraction(2**70, 3)})],
+        "snap_to_rational": lambda: [snap_to_rational(ApproxSetFunction(
+            thirds.ground, tuple(map(float, thirds.values))), 10)],
+        "enumerate_rank_functions": lambda: [
+            *enumerate_rank_functions("polymatroid", 2, 2),
+            *enumerate_rank_functions("polyquantoid", 3, 1)],
+        "dual": lambda: [dual(thirds), dual(h)],
+        "to_polymatroid": lambda: [to_polymatroid(e), to_polymatroid(to_polyquantoid(thirds))],
+        "to_polyquantoid": lambda: [to_polyquantoid(h), to_polyquantoid(thirds)],
+        "scale": lambda: [scale(h, Fraction(2, 7)), scale(thirds, 3), scale(h, 2**70)],
+        "expansion": lambda: [free_expand_polyquantoid(e).expanded_fn,
+                              free_expand_polymatroid(h).expanded_fn],
+        "two_factor": lambda: [two_factor(h).expanded_fn],
+        "extraction": lambda: [sharing.extract_matroid(h, "1")[1],
+                               sharing.extract_selfdual_matroid(to_polyquantoid(h), "2")[1]],
+    }
+
+
+@pytest.mark.parametrize("path", sorted(value_builders()))
+def test_values_are_the_table_over_den(path):
+    # every function but a user-built one makes its values on first read;
+    # a copy taken before that read makes the same values
+    user = path in ("SetFunction", "from_table")
+    for f in value_builders()[path]():
+        assert ("values" in vars(f)) is user
+        copies = [copy.deepcopy(f), pickle.loads(pickle.dumps(f))]
+        assert all(("values" in vars(g)) is user for g in copies)
+        a, den = f._scaled_table
+        assert f.values == tuple(Fraction(x, den) for x in a.tolist())
+        assert all(type(v) is Fraction for v in f.values) and "values" in vars(f)
+        assert hash(f) == hash(SetFunction(f.ground, f.values))
+        for g in copies:
+            assert g == f and g.values == f.values and hash(g) == hash(f)
+            with pytest.raises(ValueError):
+                g._scaled_table[0][0] = 1
+        assert not hasattr(f, "no_such")
+        with pytest.raises(AttributeError, match="^'SetFunction' object has no attribute 'no_such'$"):
+            f.no_such  # noqa: B018
+
+
+def test_values_need_a_table():
+    assert not hasattr(object.__new__(SetFunction), "values")
+
+
 def test_equality_equals_comparing_values():
     fns = small_corpus() + guard_cases() + [
         from_table(["a"], [0, 1]), uniform(2, 3), scale(uniform(2, 3), Fraction(1, 2)),

@@ -170,6 +170,17 @@ def test_names_equal_the_per_bit_loop(labels):
         assert [g.key_of(m) for m in g.subsets()] == [",".join(x) for x in expected]
 
 
+@pytest.mark.parametrize("labels", [labels_for, lambda n: NON_ASCII[:n]],
+                         ids=["digits", "non-ascii"])
+def test_member_tuples_equal_the_split_keys(labels):
+    # members reads tuples built by doubling; the keys split at their commas name the same sets
+    for n in range(7):
+        g = GroundSet(labels(n))
+        assert [g.members(m) for m in g.subsets()] == [
+            tuple(g.key_of(m).split(",")) if m else () for m in g.subsets()]
+        assert g._subset_members == tuple(map(g.members, g.subsets()))
+
+
 @pytest.mark.parametrize("mask", [4, 5, 1 << 16, -1, -2])
 def test_masks_outside_the_ground_set_are_value_errors(mask):
     g = GroundSet(("a", "b"))
@@ -442,6 +453,44 @@ def test_as_rational_rejects_either_side_past_the_digit_limit(text):
                          ids=["denominator", "integer", "exponent", "decimal"])
 def test_as_rational_accepts_values_at_the_digit_limit(text):
     assert as_rational(text) == Fraction(text.strip())
+
+
+@pytest.mark.parametrize("text", ["0", "3", "0042", "000", "12345678901234567890", "٣", "３", "١٢"])
+def test_decimal_strings_read_as_fraction_reads_them(text):
+    # digits alone, of any script int reads, take the int path
+    value = as_rational(text)
+    assert value == Fraction(text) and type(value) is Fraction
+
+
+def test_decimal_strings_at_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    text = "0" + "7" * (limit - 1)
+    value = as_rational(text)
+    assert value == Fraction(text) and type(value) is Fraction
+    with pytest.raises(ValueTooLarge, match=rf"\(past the {limit}-digit limit\)$"):
+        as_rational(text + "7")
+    sys.set_int_max_str_digits(0)
+    try:
+        assert as_rational(text + "7") == int(text + "7")
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("text", ["1_000", " 3", "3 ", "+3", "-3", "", "²"])
+def test_strings_not_all_decimal_take_fractions_parse(text):
+    # Fraction reads "1_000" from Python 3.11 on; "²" is a digit, but no decimal one
+    try:
+        expected = Fraction(text)
+    except ValueError:
+        with pytest.raises(MalformedRational):
+            as_rational(text)
+    else:
+        assert as_rational(text) == expected
+
+
+def test_a_digit_that_is_no_decimal_is_malformed():
+    with pytest.raises(MalformedRational, match="^'²'$"):
+        as_rational("²")
 
 
 def test_as_rational_digit_limit_of_zero_is_off():

@@ -45,6 +45,28 @@ from helpers import (
 
 # -- analyze -------------------------------------------------------------------
 
+def test_families_are_named_by_the_split_keys():
+    def name(g, m):
+        return tuple(g.key_of(m).split(",")) if m else ()
+
+    for f in enumerate_rank_functions("polyquantoid", 5, 2):
+        g = f.ground
+        for dealer in f.labels:
+            rep = analyze_sharing(f, dealer, "polyquantoid")
+            _, flags = sharing._validated_flags(f, dealer, "polyquantoid")
+            assert rep.authorized == tuple(name(g, m) for m in flags.authorized)
+            assert rep.minimal_authorized == tuple(name(g, m) for m in flags.minimal)
+
+
+def test_empty_families_build_no_member_tuples():
+    # the free matroid's dealers authorize no coalition
+    f = uniform(2, 2)
+    rep = analyze_sharing(f, "1")
+    assert rep.authorized == rep.minimal_authorized == ()
+    assert "_subset_members" not in vars(f.ground)
+    assert analyze_sharing(uniform(1, 2), "1").authorized == (("2",),)
+
+
 def test_u24_every_pair_recovers_dealer():
     rep = analyze_sharing(uniform(2, 4), "4")
     assert rep.perfect and rep.ideal
