@@ -100,8 +100,12 @@ def as_rational(value) -> Fraction:
     10**5000, and "0." followed by 4300 ones (denominator 10**4300) is
     rejected at the default limit of 4300.  A string of decimal digits
     alone, within the limit (or any length, with the limit off), is read
-    by int, as Fraction would read it; every other string takes
-    Fraction's parse.
+    by int, as Fraction would read it.  Every other string is read in
+    Python 3.10's Fraction syntax on every Python: one with "_" or with
+    whitespace inside the value ("1_000", "1 / 3"), which Fraction reads
+    from 3.11 or 3.12 on, is rejected before Fraction's parse, and the
+    rest takes that parse.  Which characters are decimal digits still
+    follows each Python's Unicode database.
     """
     if isinstance(value, Fraction):
         return value
@@ -111,6 +115,8 @@ def as_rational(value) -> Fraction:
         limit = sys.get_int_max_str_digits()
         if value.isdecimal() and (len(value) <= limit or not limit):
             return Fraction(int(value))
+        if "_" in value or len(value.split()) > 1:
+            raise MalformedRational(repr(value))
         mantissa, e, exponent = value.lower().partition("e")
         try:
             # a string no longer than the limit, with no exponent, cannot pass it
@@ -208,11 +214,10 @@ class GroundSet:
     def members(self, mask: int) -> tuple[str, ...]:
         """Member labels of the subset, in ground-set order, read from the
         cached member tuples (_subset_members).  A mask outside
-        0 .. 2^n - 1 is a ValueError, and a bool a TypeError."""
-        members = self._subset_members
-        if type(mask) is not bool and 0 <= mask < len(members):
-            return members[mask]
-        return members[_in_range("mask", mask, len(members), self.n)]  # raises
+        0 .. 2^n - 1 is a ValueError, and a bool a TypeError (see
+        _in_range).  matroid_structure, access_from_circuits and
+        adapted_sets call it; the sharing reports read _subset_members."""
+        return self._subset_members[_in_range("mask", mask, 1 << self.n, self.n)]
 
     def key_of(self, mask: int) -> str:
         """Canonical subset key: member labels in ground-set order, comma-joined.
@@ -225,10 +230,7 @@ class GroundSet:
         (sharing._not_ideal_reason, entropic.snap_to_rational), possibly on
         a ground set whose keys are not built yet.
         """
-        keys = self._subset_keys
-        if type(mask) is not bool and 0 <= mask < len(keys):
-            return keys[mask]
-        return keys[_in_range("mask", mask, len(keys), self.n)]  # raises
+        return self._subset_keys[_in_range("mask", mask, 1 << self.n, self.n)]
 
     def subset_keys(self) -> list[str]:
         """key_of(m) for every subset mask m, in increasing order.
@@ -278,7 +280,7 @@ class SetFunction:
         expected = 1 << self.ground.n
         if len(self.values) != expected:
             raise MissingSubset(f"expected {expected} values, got {len(self.values)}")
-        values = tuple(v if type(v) is Fraction else as_rational(v) for v in self.values)
+        values = tuple(map(as_rational, self.values))
         a, den = _scaled(values)
         a.flags.writeable = False
         self.__dict__.update(values=values, _scaled_table=(a, den))

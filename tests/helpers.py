@@ -6,6 +6,7 @@ from fractions import Fraction
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 
@@ -32,6 +33,24 @@ def uniform(k, n, labels=None):
     """Rank function of the uniform matroid: min(|I|, k) on n elements."""
     return from_table(labels or labels_for(n),
                       [min(m.bit_count(), k) for m in range(1 << n)])
+
+
+# Python 3.10's fractions._RATIONAL_FORMAT, copied: the value syntax
+# as_rational reads on every supported Python, whatever the running
+# interpreter's Fraction accepts besides.
+RATIONAL_FORMAT_3_10 = re.compile(r"""
+    \A\s*                      # optional whitespace at the start, then
+    (?P<sign>[-+]?)            # an optional sign, then
+    (?=\d|\.\d)                # lookahead for digit or .digit
+    (?P<num>\d*)               # numerator (possibly empty)
+    (?:                        # followed by
+       (?:/(?P<denom>\d+))?    # an optional denominator
+    |                          # or
+       (?:\.(?P<decimal>\d*))? # an optional fractional part
+       (?:E(?P<exp>[-+]?\d+))? # and optional exponent
+    )
+    \s*\Z                      # and optional whitespace to finish
+""", re.VERBOSE | re.IGNORECASE)
 
 
 def members_loops(g, mask):

@@ -320,6 +320,14 @@ def test_long_value_names_the_digit_limit(tmp_path, capsys):
     assert re.fullmatch(r"MalformedRational: '1': [^\n]* \(past the 4300-digit limit\)\n", err)
 
 
+def test_digit_groups_exit_two_on_every_python(tmp_path, capsys):
+    # Python 3.10's Fraction syntax: later Pythons' Fraction reads "1_000"
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"ground_set": ["1"], "values": {"": "0", "1": "1_000"}}))
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out, err) == (2, "", "MalformedRational: '1': '1_000'\n")
+
+
 def test_boolean_value_exit_two(tmp_path, capsys):
     path = tmp_path / "bool.json"
     path.write_text(json.dumps({"ground_set": ["1"], "values": {"": "0", "1": True}}))

@@ -73,7 +73,7 @@ ANY_JSON = st.recursive(
     | st.dictionaries(st.text(max_size=4), inner, max_size=4), max_leaves=12)
 REPLACEMENTS = st.sampled_from([
     10**400, -10**400, *RAW, 2**63, True, False, None, 0, -1, 1.5, float("nan"), 1e200, 1.7e308,
-    "", "x", "a\nb", "\ud800", "1/0", "1e400", "-1/3", [], {}, [[0, 0]],
+    "", "x", "a\nb", "\ud800", "1/0", "1e400", "-1/3", "1_000", "1 / 3", [], {}, [[0, 0]],
 ])
 
 

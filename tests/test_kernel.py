@@ -398,7 +398,7 @@ def test_nondecreasing_from_submodularity_equals_loops():
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
-# -- one increment table per small function --------------------------------------------
+# -- classify's increments, the dual and every dealer's flags against the loops --------
 
 def gather_corpus():
     """Functions on both sides of the gather limit: the sharing kernel
@@ -412,7 +412,7 @@ def gather_corpus():
     return fns + [perturbed(f, rng) for f in fns]
 
 
-def test_increment_table_classify_dual_and_flags_equal_loops():
+def test_gathered_increments_dual_and_dealer_flags_equal_loops():
     seen = set()
     for f in gather_corpus():
         n = f.n

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -35,6 +36,7 @@ from quantoid.setfn import (
 )
 
 from helpers import (
+    RATIONAL_FORMAT_3_10,
     bell,
     classify_exhaustive,
     enumerate_rank_functions_unpruned,
@@ -161,7 +163,7 @@ NON_ASCII = ("α", "日本", "é", "ß", "👍", "Ω", "x y", "ü1")
 @pytest.mark.parametrize("labels", [labels_for, lambda n: NON_ASCII[:n]],
                          ids=["digits", "non-ascii"])
 def test_names_equal_the_per_bit_loop(labels):
-    # members and key_of read the cached keys; the reports name coalitions through members
+    # members and key_of read the cached tuples; the sharing reports read _subset_members
     for n in range(9):
         f = zero_fn(n, labels(n))
         g = f.ground
@@ -476,9 +478,10 @@ def test_decimal_strings_at_the_digit_limit():
         sys.set_int_max_str_digits(limit)
 
 
-@pytest.mark.parametrize("text", ["1_000", " 3", "3 ", "+3", "-3", "", "²"])
+@pytest.mark.parametrize("text", [" 3", "3 ", "+3", "-3", "", "²",
+                                  " 1/2 ", "\xa01", "1\n", " 5e-1 "])
 def test_strings_not_all_decimal_take_fractions_parse(text):
-    # Fraction reads "1_000" from Python 3.11 on; "²" is a digit, but no decimal one
+    # "²" is a digit, but no decimal one; whitespace may surround the value
     try:
         expected = Fraction(text)
     except ValueError:
@@ -486,6 +489,36 @@ def test_strings_not_all_decimal_take_fractions_parse(text):
             as_rational(text)
     else:
         assert as_rational(text) == expected
+
+
+def test_strings_are_read_in_python_3_10_syntax_on_every_python():
+    # the oracle is Python 3.10's regex, not the running interpreter's Fraction;
+    # strings of 0-5 characters, digits weighted up, hold no exponent past the digit limit
+    rng = random.Random(30)
+    alphabet, weights = "0123456789_/.eE+- \t\xa0", [3] * 10 + [1] * 10
+    texts = ["".join(rng.choices(alphabet, weights, k=rng.randrange(6))) for _ in range(20_000)]
+    read = 0
+    for text in texts:
+        try:
+            expected = Fraction(text) if RATIONAL_FORMAT_3_10.match(text) else None
+        except ZeroDivisionError:
+            expected = None
+        if expected is None:
+            with pytest.raises(MalformedRational):
+                as_rational(text)
+        else:
+            value = as_rational(text)
+            assert value == expected and type(value) is Fraction
+            read += 1
+    assert 2_000 < read < 18_000
+
+
+@pytest.mark.parametrize("text", ["1_000", "1_0/3", "1/1_0", "1e1_0", "0.1_5",
+                                  "1 /2", "1/ 2", " 1 / 2 ", "1\u2003/2"])
+def test_digit_groups_and_inner_whitespace_are_malformed(text):
+    # Fraction reads the first five from Python 3.11 on, the rest from 3.12 on
+    with pytest.raises(MalformedRational, match=f"^{re.escape(repr(text))}$"):
+        as_rational(text)
 
 
 def test_a_digit_that_is_no_decimal_is_malformed():
