@@ -12,22 +12,70 @@ calls when it runs, and main imports the document writer after parsing.
 So --help and a usage error load no numpy, and check, dual, hat and vee
 load documents, setfn, duality and correspondence but not sharing,
 expansion or entropic, which share, expand and entropy load on their own.
+
+An output file (-o, or the OUT of dual, hat and vee) is written whole or
+not at all: the text goes to a new file in OUT's directory, which then
+replaces OUT (os.replace).  A failed write removes that file and leaves OUT
+as it was.  OUT that exists and is not a regular file (/dev/null, a FIFO)
+is written in place.  An OS error reading an input or writing an output
+exits 2 as UnreadableInput or UnwritableOutput, with the OS error's text.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-from .errors import MalformedDocument, QuantoidError
+from .errors import MalformedDocument, QuantoidError, UnreadableInput, UnwritableOutput
+
 
 def _read_json(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too many digits
-            raise MalformedDocument(str(exc)) from None
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too many digits
+        raise MalformedDocument(str(exc)) from None
+    except OSError as exc:
+        raise UnreadableInput(str(exc)) from None
+
+
+def _write_whole(path: str, text: str) -> None:
+    """text as the file at path, through a new file in its directory that
+    replaces it; on failure the new file is removed.  A path that exists
+    and is not a regular file is written in place."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        return
+    head, tail = os.path.split(path)
+    temp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
+    # mode 0o666 less the umask, as open(path, "w") gives a new file
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
+
+
+def _write(out, text: str) -> None:
+    """text to the file out, or to stdout when out is None."""
+    try:
+        if out:
+            _write_whole(out, text)
+        elif hasattr(sys.stdout, "buffer"):  # the file's UTF-8, whatever the locale
+            sys.stdout.flush()
+            sys.stdout.buffer.write(text.encode("utf-8"))
+        else:  # a text stream with no bytes beneath it, such as io.StringIO
+            sys.stdout.write(text)
+    except OSError as exc:
+        # the OS error's text, naming the output rather than the new file
+        named = OSError(exc.errno, exc.strerror, out or "<stdout>") if exc.errno else exc
+        raise UnwritableOutput(str(named)) from None
 
 
 def _exact_function(args):
@@ -152,17 +200,9 @@ def main(argv=None) -> int:
         doc, code = args.handler(args)
         from .documents import dumps
 
-        text = dumps(doc)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        elif hasattr(sys.stdout, "buffer"):  # the file's UTF-8, whatever the locale
-            sys.stdout.flush()
-            sys.stdout.buffer.write(text.encode("utf-8"))
-        else:  # a text stream with no bytes beneath it, such as io.StringIO
-            sys.stdout.write(text)
+        _write(args.out, dumps(doc))
         return code
-    except (QuantoidError, OSError) as exc:
+    except QuantoidError as exc:
         message = str(exc).replace("\r", "\\r").replace("\n", "\\n")  # one stderr line
         print(f"{type(exc).__name__}: {message}", file=sys.stderr)
         return 2

@@ -45,6 +45,17 @@ class MalformedDocument(QuantoidError):
     """A JSON document is missing a field or has one of the wrong shape."""
 
 
+# -- files -------------------------------------------------------------------
+
+class UnreadableInput(QuantoidError):
+    """An input file could not be opened or read; the text is the OS error's."""
+
+
+class UnwritableOutput(QuantoidError):
+    """An output file, or stdout, could not be written; the text is the OS
+    error's, naming the output."""
+
+
 class NonpositiveScale(QuantoidError):
     """Scaling factors must be strictly positive."""
 

@@ -124,8 +124,9 @@ def kernel_corpus():
 def enumerate_rank_functions_unpruned(kind, n, cap):
     """enumerate_rank_functions without the Araki-Lieb lower bound: a
     polyquantoid mask below its complement may take any value from 0 up to
-    its submodularity bound.  The same flat walk, so the same lazy,
-    lexicographic sequence, reached through more dead branches."""
+    its submodularity bound.  A flat walk of one table at a time, mask by
+    mask, with no blocks: the same lazy, lexicographic sequence, reached
+    through more dead branches."""
     ground = GroundSet(labels_for(n))
     full = (1 << n) - 1
     below = [[m ^ 1 << i for i in range(n) if m >> i & 1] for m in range(full + 1)]

@@ -8,10 +8,11 @@ from pathlib import Path
 SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "bench_json.py"
 
 
-def _write(directory: Path, seed: int, trace: int, metrics: dict, correct=True):
+def _write(directory: Path, seed: int, trace: int, metrics: dict, correct=True, extra=None):
     directory.mkdir(exist_ok=True)
     record = {"correct": correct, "workload": "expand", "trace": trace, "seed": seed,
-              "metrics": {name: {"value": value} for name, value in metrics.items()}}
+              "metrics": {name: {"value": value} for name, value in metrics.items()},
+              "extra": extra or {}}
     (directory / f"expand-seed{seed}-trace{trace}.json").write_text(json.dumps(record))
 
 
@@ -36,3 +37,18 @@ def test_medians_quartiles_and_counts_per_side(tmp_path):
 def test_usage_exits_two():
     done = subprocess.run([sys.executable, str(SCRIPT)], capture_output=True, text=True)
     assert done.returncode == 2 and "BASE_DIR NEW_DIR OUT" in done.stderr
+
+
+def test_op_counts_per_side(tmp_path):
+    # extra.ops of each correct record; a traced record has none
+    base, new, out = tmp_path / "base", tmp_path / "new", tmp_path / "out.json"
+    for seed, ops in enumerate([100, 300, 200]):
+        _write(base, seed, 0, {"wall_s": 1.0}, extra={"ops": ops})
+    _write(base, 8, 0, {"wall_s": 1.0}, correct=False, extra={"ops": 10**6})
+    _write(base, 0, 1, {"expansion.expand_s": 0.5}, extra={"layer_totals": {}})
+    _write(new, 0, 1, {"expansion.expand_s": 0.5})
+    subprocess.run([sys.executable, str(SCRIPT), str(base), str(new), str(out)],
+                   check=True, capture_output=True)
+    ops = json.loads(out.read_text())["workloads"]["expand"]["extra.ops"]
+    assert ops == {"unit": "count", "better": None,
+                   "base": {"median": 200, "q1": 100, "q3": 300, "runs": 3}, "new": None}

@@ -467,3 +467,62 @@ def test_stdout_is_the_file_bytes_whatever_the_locale(tmp_path, encoding):
                           capture_output=True, timeout=120)
     assert (done.returncode, done.stderr) == (0, b"")
     assert done.stdout == out.read_bytes() and "é".encode() in done.stdout
+
+
+# -- OS errors and whole-file writes ---------------------------------------------
+
+def test_os_errors_are_named(corpus, tmp_path, capsys):
+    # the OS error's text, under a QuantoidError name, on one line
+    folder, missing = str(tmp_path), str(tmp_path / "missing" / "x.json")
+    cases = [(["check", folder], f"UnreadableInput: [Errno 21] Is a directory: {folder!r}"),
+             (["check", "no-such-file.json"],
+              "UnreadableInput: [Errno 2] No such file or directory: 'no-such-file.json'"),
+             (["dual", corpus["u13"], missing],
+              f"UnwritableOutput: [Errno 2] No such file or directory: {missing!r}"),
+             (["share", corpus["u13"], "--dealer", "1", "-o", folder],
+              f"UnwritableOutput: [Errno 21] Is a directory: {folder!r}")]
+    for argv, message in cases:
+        assert run(capsys, *argv) == (2, "", message + "\n")
+    assert not (tmp_path / "missing").exists()
+
+
+def test_out_that_is_not_a_regular_file_is_written_in_place(corpus, capsys):
+    assert run(capsys, "dual", corpus["u13"], os.devnull) == (0, "", "")
+    assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
+
+
+def test_out_replaces_the_old_file_whole(corpus, tmp_path, capsys):
+    out = tmp_path / "prev.json"
+    out.write_text("previous contents, longer than the report " * 100)
+    assert run(capsys, "dual", corpus["u13"], str(out)) == (0, "", "")
+    assert documents.set_function_from_doc(json.loads(out.read_text())) == uniform(2, 3)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [Path(p).name for p in corpus.values()] + ["prev.json"])
+
+
+# the CLI in a child process whose files may not grow past argv[1] bytes
+UNDER_A_FILE_SIZE_LIMIT = """
+import resource, sys
+from quantoid.cli import main
+resource.setrlimit(resource.RLIMIT_FSIZE, (int(sys.argv[1]), resource.RLIM_INFINITY))
+raise SystemExit(main(sys.argv[2:]))
+"""
+
+
+def test_a_failed_write_keeps_the_old_file(tmp_path):
+    pytest.importorskip("resource")
+    source, out = tmp_path / "u48.json", tmp_path / "prev.json"
+    source.write_text(json.dumps(documents.set_function_to_doc(uniform(4, 8))))
+    old = b"the previous report\n"
+    src = str(Path(documents.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv in (["dual", str(source), str(out)],
+                 ["share", str(source), "--dealer", "1", "-o", str(out)]):
+        out.write_bytes(old)
+        done = subprocess.run([sys.executable, "-c", UNDER_A_FILE_SIZE_LIMIT, "4096", *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == f"UnwritableOutput: [Errno 27] File too large: {str(out)!r}\n"
+        assert out.read_bytes() == old  # byte for byte
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["prev.json", "u48.json"]

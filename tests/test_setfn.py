@@ -338,6 +338,35 @@ def test_enumerate_builds_each_function_through_the_kernel(monkeypatch):
         assert all(f is g for f, g in zip(got, built))
 
 
+@pytest.mark.parametrize("block", [1, 64])
+@pytest.mark.parametrize("kind,n,cap", [("polymatroid", 4, 3), ("polyquantoid", 4, 3),
+                                        ("polyquantoid", 5, 2)])
+def test_enumerate_in_small_blocks_matches_the_unpruned_walk(monkeypatch, block, kind, n, cap):
+    # a block of a few rows (64 entries) or of one row: every split and chunk path runs;
+    # every function is built before any is read, so a table written again would show
+    monkeypatch.setattr(setfn, "_BLOCK", block)
+    got = [f.values for f in list(enumerate_rank_functions(kind, n, cap))]
+    assert got == [f.values for f in enumerate_rank_functions_unpruned(kind, n, cap)]
+
+
+@pytest.mark.parametrize("block", [None, 2000])
+def test_enumerate_one_parent_in_chunks(monkeypatch, block):
+    # 5,001 children of one row: one chunk of 32,768 rows, or six of 1,000
+    if block:
+        monkeypatch.setattr(setfn, "_BLOCK", block)
+    got = [f.values for f in enumerate_rank_functions("polymatroid", 1, 5000)]
+    assert got == [(Fraction(0), Fraction(v)) for v in range(5001)]
+
+
+def test_enumerate_past_the_int64_guard_is_exact():
+    # a cap of 10**30 runs the block on Python ints
+    first = itertools.islice(enumerate_rank_functions("polymatroid", 1, 10**30), 3)
+    assert [f.values for f in first] == [(Fraction(0), Fraction(v)) for v in range(3)]
+    got = itertools.islice(enumerate_rank_functions("polyquantoid", 3, 10**30), 20)
+    want = itertools.islice(enumerate_rank_functions_unpruned("polyquantoid", 3, 10**30), 20)
+    assert [f.values for f in got] == [f.values for f in want]
+
+
 def test_enumerate_output_passes_classify():
     for kind, flag in [("polymatroid", "polymatroid"), ("polyquantoid", "polyquantoid")]:
         for f in enumerate_rank_functions(kind, 3, 2):

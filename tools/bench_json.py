@@ -8,11 +8,16 @@ parent commit, NEW_DIR from the change.  For every workload and metric
 found on either side, OUT gets each side's median, quartiles and run
 count, as perfbench/compare.py computes them, with the metric's unit and
 direction from BENCHMARK.json.  Traced and untraced runs of a workload
-report different metrics, so both land under the workload's name.
+report different metrics, so both land under the workload's name.  Each
+workload also gets "extra.ops", the same summary of the op count that
+each record's extra.ops holds (untraced runs write it): a run that does
+more ops reads a higher peak_rss_mb on exact-small, so that metric is read
+against it.
 """
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import sys
@@ -38,6 +43,17 @@ def by_workload(results: dict) -> dict:
     return out
 
 
+def op_counts(directory: str) -> dict:
+    """workload -> extra.ops of each correct record that has it."""
+    out = {}
+    for path in sorted(glob.glob(os.path.join(directory, "*.json"))):
+        with open(path, encoding="utf-8") as handle:
+            record = json.load(handle)
+        if record.get("correct") and "ops" in record.get("extra", {}):
+            out.setdefault(record["workload"], []).append(record["extra"]["ops"])
+    return out
+
+
 def main(argv: list) -> int:
     if len(argv) != 3:
         print(__doc__, file=sys.stderr)
@@ -46,6 +62,7 @@ def main(argv: list) -> int:
         bench = json.load(handle)
     specs = {m["name"]: m for m in bench["end_to_end"] + bench["per_layer"]}
     base, new = by_workload(load(argv[0])), by_workload(load(argv[1]))
+    base_ops, new_ops = op_counts(argv[0]), op_counts(argv[1])
     workloads = {}
     for workload in sorted(set(base) | set(new)):
         b, n = base.get(workload, {}), new.get(workload, {})
@@ -55,6 +72,9 @@ def main(argv: list) -> int:
             workloads[workload][name] = {
                 "unit": spec.get("unit"), "better": spec.get("better", "lower"),
                 "base": side(b.get(name)), "new": side(n.get(name))}
+        workloads[workload]["extra.ops"] = {
+            "unit": "count", "better": None,
+            "base": side(base_ops.get(workload)), "new": side(new_ops.get(workload))}
     with open(argv[2], "w", encoding="utf-8") as handle:
         json.dump({"workloads": workloads}, handle, indent=1)
         handle.write("\n")
