@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "bench_json.py"
 
 
@@ -52,3 +54,35 @@ def test_op_counts_per_side(tmp_path):
     ops = json.loads(out.read_text())["workloads"]["expand"]["extra.ops"]
     assert ops == {"unit": "count", "better": None,
                    "base": {"median": 200, "q1": 100, "q3": 300, "runs": 3}, "new": None}
+
+
+def test_peak_rss_at_the_base_median_op_count(tmp_path):
+    # each side's least-squares line, read at BASE's median op count (200)
+    base, new, out = tmp_path / "base", tmp_path / "new", tmp_path / "out.json"
+    for seed, (ops, rss) in enumerate([(100, 40.0), (300, 44.0), (200, 42.5)]):
+        _write(base, seed, 0, {"peak_rss_mb": rss}, extra={"ops": ops})
+    _write(base, 7, 0, {"peak_rss_mb": 99.0}, correct=False, extra={"ops": 250})
+    for seed, (ops, rss) in enumerate([(250, 46.0), (350, 48.0)]):
+        _write(new, seed, 0, {"peak_rss_mb": rss}, extra={"ops": ops})
+    subprocess.run([sys.executable, str(SCRIPT), str(base), str(new), str(out)],
+                   check=True, capture_output=True)
+    at = json.loads(out.read_text())["workloads"]["expand"]["peak_rss_mb_at_base_ops"]
+    assert at["unit"] == "MB" and at["better"] == "lower" and at["ops"] == 200
+    assert at["base"] == pytest.approx(42.0 + 0.5 / 3) and at["new"] == pytest.approx(45.0)
+
+
+def test_peak_rss_at_base_ops_needs_two_op_counts(tmp_path):
+    # one distinct op count on a side, or no op count at all, gives null
+    base, new, out = tmp_path / "base", tmp_path / "new", tmp_path / "out.json"
+    for seed in range(2):
+        _write(base, seed, 0, {"peak_rss_mb": 40.0 + seed}, extra={"ops": 100})
+        _write(new, seed, 0, {"peak_rss_mb": 40.0}, extra={"ops": 100 + seed})
+    subprocess.run([sys.executable, str(SCRIPT), str(base), str(new), str(out)],
+                   check=True, capture_output=True)
+    at = json.loads(out.read_text())["workloads"]["expand"]["peak_rss_mb_at_base_ops"]
+    assert at == {"unit": "MB", "better": "lower", "ops": 100, "base": None, "new": 40.0}
+    _write(tmp_path / "empty", 0, 1, {"expansion.expand_s": 0.5})
+    subprocess.run([sys.executable, str(SCRIPT), str(tmp_path / "empty"), str(new), str(out)],
+                   check=True, capture_output=True)
+    at = json.loads(out.read_text())["workloads"]["expand"]["peak_rss_mb_at_base_ops"]
+    assert at["ops"] is None and at["base"] is None and at["new"] is None

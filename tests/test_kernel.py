@@ -2,6 +2,7 @@
 against the Fraction loop oracles in helpers, and its int64 overflow guard."""
 
 import copy
+import itertools
 from fractions import Fraction
 import pickle
 import random
@@ -250,6 +251,55 @@ def test_each_function_is_dualized_once(monkeypatch):
         assert d._scaled_table[0] is f._dual_table  # the output keeps it as its table
         with pytest.raises(ValueError):
             f._dual_table[0] = 1
+
+
+# -- enumerated functions come classified, with their dual table -------------------
+
+def assert_as_computed_on_first_use(f):
+    # the Classification and dual table f holds are what the per-function path
+    # computes on a fresh copy, in the dtype of f's own table
+    assert classify(f) == setfn._classify(from_table(f.labels, f.values))
+    d, want = f._dual_table, setfn._dual(f._scaled_table[0], f.n)
+    assert d.dtype == want.dtype == f._scaled_table[0].dtype and (d == want).all()
+    assert not d.flags.writeable and d.base is None  # no view: f keeps no block alive
+    assert dual(f)._scaled_table[0] is d
+
+
+HANDED = [("polymatroid", 4, 3), ("polyquantoid", 4, 3), ("polyquantoid", 5, 2),
+          ("polyquantoid", 6, 2), ("polymatroid", 8, 1)]
+
+
+# (polyquantoid, 6, 2) takes about 16 s in blocks of one row or of 64 entries,
+# so it runs in the default blocks only
+@pytest.mark.parametrize("kind,n,cap,block", [(*family, block) for family in HANDED
+                                              for block in (None, 1, 64)
+                                              if not (block and family[1] == 6)])
+def test_enumerated_functions_come_classified(monkeypatch, kind, n, cap, block):
+    if block:
+        monkeypatch.setattr(setfn, "_BLOCK", block)
+    fs = list(enumerate_rank_functions(kind, n, cap))  # every block done before any is read
+    for f in fs:
+        assert {"_classification", "_dual_table"} <= set(vars(f))  # handed out, not yet computed
+        assert_as_computed_on_first_use(f)
+    if block is None:
+        # the Fraction oracle, on every function up to 5 elements and every 8th past that
+        assert all(classify(f) == classify_loops(f) for f in fs[::1 if n <= 5 else 8])
+        for f in fs[:3]:
+            for g in (copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+                assert classify(g) == classify(f) and (g._dual_table == f._dual_table).all()
+                with pytest.raises(ValueError):
+                    g._dual_table[0] = 1
+
+
+@pytest.mark.parametrize("kind,n,count", [("polyquantoid", 3, 20), ("polymatroid", 2, 3)])
+def test_enumerated_past_the_int64_guard_classify_as_on_first_use(kind, n, count):
+    # the block holds Python ints, but the first tables' values are small: each
+    # is handed out in int64, and so must its dual table be
+    fs = list(itertools.islice(enumerate_rank_functions(kind, n, 10**30), count))
+    assert {f._scaled_table[0].dtype for f in fs} == {np.dtype(np.int64)}
+    for f in fs:
+        assert classify(f) == classify_loops(f)
+        assert_as_computed_on_first_use(f)
 
 
 # -- parsed and snapped functions carry their table; printing and equality read it ---

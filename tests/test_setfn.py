@@ -493,6 +493,17 @@ def test_decimal_strings_read_as_fraction_reads_them(text):
     assert value == Fraction(text) and type(value) is Fraction
 
 
+def test_every_decimal_digit_of_this_python_reads_as_int_reads_it():
+    # the digit set is the running Python's Unicode database (650 decimal
+    # characters on 3.10, 660 on 3.11, 680 on 3.12 and 3.13), kept on purpose
+    digits = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isdecimal()]
+    assert len(digits) >= 650 and "٣" in digits and "３" in digits
+    for c in digits:
+        value = as_rational(c)
+        assert value == int(c) and type(value) is Fraction
+        assert build(["1"], {"": "0", "1": c}).values == (0, int(c))
+
+
 def test_decimal_strings_at_the_digit_limit():
     limit = sys.get_int_max_str_digits()
     text = "0" + "7" * (limit - 1)

@@ -12,7 +12,10 @@ report different metrics, so both land under the workload's name.  Each
 workload also gets "extra.ops", the same summary of the op count that
 each record's extra.ops holds (untraced runs write it): a run that does
 more ops reads a higher peak_rss_mb on exact-small, so that metric is read
-against it.
+against it.  "peak_rss_mb_at_base_ops" gives each side's peak_rss_mb at
+BASE's median op count, read off the least-squares line through that
+side's (extra.ops, peak_rss_mb) runs; it is null for a side with fewer
+than two distinct op counts.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import glob
 import json
 import os
+import statistics
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -43,15 +47,27 @@ def by_workload(results: dict) -> dict:
     return out
 
 
-def op_counts(directory: str) -> dict:
-    """workload -> extra.ops of each correct record that has it."""
+def op_runs(directory: str) -> dict:
+    """workload -> (extra.ops, peak_rss_mb or None) of each correct record
+    that has extra.ops."""
     out = {}
     for path in sorted(glob.glob(os.path.join(directory, "*.json"))):
         with open(path, encoding="utf-8") as handle:
             record = json.load(handle)
         if record.get("correct") and "ops" in record.get("extra", {}):
-            out.setdefault(record["workload"], []).append(record["extra"]["ops"])
+            rss = record["metrics"].get("peak_rss_mb", {}).get("value")
+            out.setdefault(record["workload"], []).append((record["extra"]["ops"], rss))
     return out
+
+
+def rss_at(runs: list, ops) -> float | None:
+    """peak_rss_mb at `ops` ops on the least-squares line through the runs,
+    or None with fewer than two distinct op counts."""
+    points = [(x, y) for x, y in runs if y is not None]
+    if ops is None or len({x for x, _ in points}) < 2:
+        return None
+    slope, intercept = statistics.linear_regression(*zip(*points))
+    return intercept + slope * ops
 
 
 def main(argv: list) -> int:
@@ -62,7 +78,7 @@ def main(argv: list) -> int:
         bench = json.load(handle)
     specs = {m["name"]: m for m in bench["end_to_end"] + bench["per_layer"]}
     base, new = by_workload(load(argv[0])), by_workload(load(argv[1]))
-    base_ops, new_ops = op_counts(argv[0]), op_counts(argv[1])
+    base_runs, new_runs = op_runs(argv[0]), op_runs(argv[1])
     workloads = {}
     for workload in sorted(set(base) | set(new)):
         b, n = base.get(workload, {}), new.get(workload, {})
@@ -72,9 +88,14 @@ def main(argv: list) -> int:
             workloads[workload][name] = {
                 "unit": spec.get("unit"), "better": spec.get("better", "lower"),
                 "base": side(b.get(name)), "new": side(n.get(name))}
+        b_runs, n_runs = base_runs.get(workload, []), new_runs.get(workload, [])
+        ops = side([x for x, _ in b_runs])
         workloads[workload]["extra.ops"] = {
-            "unit": "count", "better": None,
-            "base": side(base_ops.get(workload)), "new": side(new_ops.get(workload))}
+            "unit": "count", "better": None, "base": ops, "new": side([x for x, _ in n_runs])}
+        at = ops and ops["median"]
+        workloads[workload]["peak_rss_mb_at_base_ops"] = {
+            "unit": "MB", "better": "lower", "ops": at,
+            "base": rss_at(b_runs, at), "new": rss_at(n_runs, at)}
     with open(argv[2], "w", encoding="utf-8") as handle:
         json.dump({"workloads": workloads}, handle, indent=1)
         handle.write("\n")
