@@ -16,24 +16,22 @@ table values plus n gains of four).  Otherwise the same code runs on
 Python ints in an object array, so the result is exact either way, and
 one helper, _dtype, picks the dtype for every table.
 
-One size rule, _GATHER_UP_TO = 8 elements, picks how the increments
-f(S + i) - f(S) are read.  A table of at most 8 elements is worked on
-whole, one numpy call per job: classify's submodularity test gathers its
-increments, inc[i, k] = the gain of i at the k-th mask without i
-(_gains), and compares them with themselves one element below, and a
-modular sum (the dual's, hat's and vee's) is one product with the
-membership matrix.  A larger table walks, one vector operation per
-element or pair of elements through _halves, which is the faster way
-from 12 elements up (classify by gather against walk, one CPU: 0.9
-against 0.4 ms at n = 12, 30-39 against 4.5-4.7 ms at n = 16).  The
-dual's per-element gains, and f(N) - f(N - i) (_top_gains), are one
-gather of the singleton and co-singleton masks at every size, and
-quantoid.sharing gathers the increments of the dealers it flags.  The
-index plans the gathers read (_coalition_rows, _one_smaller,
-_singleton_masks) depend only on n; each is built on first use, once per
-n, and kept read-only, here for quantoid.sharing too.  Over every size 0..16 they
-hold at most about 26 MB: 17.7 MB of _one_smaller (9.4 MB at n = 16) and
-7.9 MB of _coalition_rows, whose row i is the coalitions of dealer i.
+classify reads the increments f(S + i) - f(S) one way at every size: it
+walks them, one vector operation per element or pair of elements through
+_halves, on one table or on a block of tables, one per row.  One size
+rule, _GATHER_UP_TO = 8 elements, picks how two other jobs run.  The
+modular sum of an int64 table of at most 8 elements (the dual's, hat's
+and vee's) is one product with the membership matrix, and a larger or
+Python-int table sums by doubling; quantoid.sharing flags every dealer of
+a function of at most 8 elements in one pass, gathering their increments
+(_gains), and only the dealer asked for past that.  The dual's
+per-element gains, and f(N) - f(N - i) (_top_gains), are one gather of
+the singleton and co-singleton masks at every size.  The index plans the
+gathers read (_coalition_rows, _one_smaller, _singleton_masks) depend
+only on n; each is built on first use, once per n, and kept read-only,
+for quantoid.sharing too.  Over every size 0..16 they hold at most about
+26 MB: 17.7 MB of _one_smaller (9.4 MB at n = 16) and 7.9 MB of
+_coalition_rows, whose row i is the coalitions of dealer i.
 
 Every SetFunction carries its integer table, read-only, from the moment
 it exists: (table, den) = _scaled(values) is its _scaled_table, and the
@@ -50,8 +48,8 @@ such a function, one Fraction per mask, are made from (table, den) on
 first read and kept; no output needs them.  Whole-function results are
 computed once per SetFunction object, on first use, and kept: its dual
 table (read-only), the Classification, and quantoid.sharing's flags, one
-tuple per kind.  An enumerated function of at most 8 elements is handed
-its dual table and Classification, computed for its whole block.
+tuple per kind.  An enumerated function is handed its dual table and
+Classification, computed for its whole block.
 Equality and quantoid.documents' printing read the table, so printing
 calls str once per distinct value.
 
@@ -64,6 +62,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -518,14 +517,15 @@ def _top_gains(a: np.ndarray, n: int) -> np.ndarray:
 def _modular(weights: Sequence, dtype) -> np.ndarray:
     """For every subset mask, the sum of its members' weights: one product
     with the membership matrix for an int64 table of at most _GATHER_UP_TO
-    elements, by doubling otherwise.  The product also takes a block of
+    elements, by doubling otherwise.  Either also takes a block of
     weights, one row per table, and gives one table per row."""
     n = np.shape(weights)[-1]
     if dtype == np.int64 and n <= _GATHER_UP_TO:
         return np.asarray(weights, dtype=np.int64) @ _one_smaller(n)[1].T
-    sums = np.zeros(1, dtype=dtype)
-    for w in weights:
-        sums = np.concatenate((sums, sums + w))
+    w = np.asarray(weights, dtype=dtype)
+    sums = np.zeros((*w.shape[:-1], 1), dtype=dtype)
+    for i in range(n):
+        sums = np.concatenate((sums, sums + w[..., i, None]), axis=-1)
     return sums
 
 
@@ -535,10 +535,11 @@ def _singleton_sums(a: np.ndarray, n: int) -> np.ndarray:
 
 def _halves(a: np.ndarray, stride: int) -> tuple[np.ndarray, np.ndarray]:
     """The views (f(S), f(S+i)) of table a for stride = 1 << i, with S
-    over the masks without bit i, ascending.  A mixed-radix count table
-    splits the same way at the stride of a radix-2 digit."""
-    r = a.reshape(-1, 2, stride)
-    return r[:, 0], r[:, 1]
+    over the masks without bit i, ascending; of each row for a block of
+    tables, one per row.  A mixed-radix count table splits the same way at
+    the stride of a radix-2 digit."""
+    r = a.reshape(*a.shape[:-1], -1, 2, stride)
+    return r[..., 0, :], r[..., 1, :]
 
 
 def _increments(a: np.ndarray, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -549,30 +550,42 @@ def _increments(a: np.ndarray, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]
 
 def _two_point_gains(a: np.ndarray, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """For every pair c < b, the gain of b at S+c and at S, over the S
-    without b and c.  One gain table at a time keeps memory at one table."""
+    without b and c, of one table or of each row of a block.  One gain
+    table at a time keeps memory at one table or block."""
     for b in range(1, n):
         without, with_b = _halves(a, 1 << b)
-        gain = (with_b - without).ravel()  # over the other elements; c < b keeps bit c
+        # over the other elements; c < b keeps bit c
+        gain = (with_b - without).reshape(*a.shape[:-1], -1)
         for c in range(b):
             at_s, at_sc = _halves(gain, 1 << c)
             yield at_sc, at_s
 
 
-def _nondecreasing(a: np.ndarray, n: int) -> bool:
-    return all((lo <= hi).all() for lo, hi in _increments(a, n))
+def _rows_hold(pairs: Iterator[tuple[np.ndarray, np.ndarray]], rows: int) -> np.ndarray:
+    """One flag per row of a block: lo <= hi for every (lo, hi) of pairs.
+    The walk stops at a pair that fails in every row."""
+    held = [np.ones(rows, dtype=bool)]
+    for lo, hi in pairs:
+        held.append((lo <= hi).all((1, 2)))
+        if not any(held[-1].tolist()):  # Python's any: cheaper than numpy's on a row or a few
+            break
+    return np.logical_and.reduce(held)
 
 
-def _submodular(a: np.ndarray, n: int) -> bool:
+def _nondecreasing(a: np.ndarray, n: int) -> np.ndarray:
+    return _rows_hold(_increments(a, n), len(a))
+
+
+def _submodular(a: np.ndarray, n: int) -> np.ndarray:
     # Two-point criterion: for every S and distinct b, c outside S,
     # f(S+b) + f(S+c) >= f(S+b+c) + f(S), that is, the gain of b does not
     # grow when c joins.  Equivalent to the all-pairs definition for
     # functions on the full subset lattice.
-    return all((at_sc <= at_s).all() for at_sc, at_s in _two_point_gains(a, n))
+    return _rows_hold(_two_point_gains(a, n), len(a))
 
 
 def _dual(a: np.ndarray, n: int) -> np.ndarray:
-    """The dual table of one table, or of each row of an int64 block of at
-    most _GATHER_UP_TO elements (the block runs on _modular's product)."""
+    """The dual table of one table, or of each row of a block."""
     # f'(I) = f(N-I) + f({}) - f(N) + sum over i in I of
     # [f(i) - f({}) + f(N) - f(N-i)]; N-I is the reversed table
     masks = _singleton_masks(n)
@@ -606,8 +619,14 @@ def classify(f: SetFunction) -> Classification:
 
     Computed once per SetFunction object, on first use, and shared by every
     later call on the same object; a Classification is frozen.  A function
-    of at most 8 elements from enumerate_rank_functions comes with it,
-    computed for its whole block at once.
+    from enumerate_rank_functions comes with it, computed for its whole
+    block at once.  On first use it is the one-row case of the block
+    kernel (_classify_rows), which walks one pair of elements at a time: a
+    function of 4, 6 or 8 elements takes 59-67, 97-110 or 161-172 us,
+    against 34-36, 37-39 or 53-56 us for the gather it replaced, one of 12
+    elements 494-535 against 428-466 us, and one of 16 about what it took
+    before (one CPU of a 2-vCPU VM, best to median of five processes per
+    side).
     """
     return f._classification
 
@@ -626,27 +645,20 @@ def _classify_rows(a: np.ndarray, den: int, duals: np.ndarray, n: int) -> list[C
     The tables are the values scaled by the lcm of their denominators (see
     the module docstring for the int64 overflow guard).  Submodularity is
     the local two-point criterion: the gain of i at S is at least its gain
-    at S + j.  For 0 < n <= _GATHER_UP_TO every row's increments are
-    gathered at once and compared with themselves one element below, and
-    nondecreasing reads every gathered increment.  Past that, a holds one
-    table, which walks: one vector comparison per pair of elements; on a
-    submodular table nondecreasing needs only f(N - i) <= f(N) for every
-    i, and other tables walk every gain.  Tight is f(N - i) == f(N).
+    at S + j.  Every block, of one row or many, at every n, walks: one
+    vector comparison per pair of elements, over every row at once, until
+    a pair fails in every row.  When every row is submodular, nondecreasing
+    needs only f(N - i) <= f(N) for every i; otherwise every row walks
+    every gain.  Tight is f(N - i) == f(N).
     Selfduality compares each table with its dual.  No flag reads the
     unscaled values: `integer` is den == 1, and the singletons-in-{0, 1}
     part of matroid and quantoid reads the table, which then holds the
     values.
     """
     top = _top_gains(a, n)
-    if 0 < n <= _GATHER_UP_TO:
-        # below[k, j] is k without j, or k itself, where the test holds trivially
-        inc = _gains(a, _coalition_rows(n), _singleton_masks(n)[0])
-        submodular = (inc.take(_one_smaller(n - 1)[0], axis=-1) >= inc[..., None]).all((1, 2, 3))
-        nondecreasing = (inc >= 0).all((1, 2))
-    else:
-        submodular = np.array([_submodular(a[0], n)])
-        # a submodular f's gains of i shrink as S grows: the least is at N - i
-        nondecreasing = (top >= 0).all(1) if submodular[0] else np.array([_nondecreasing(a[0], n)])
+    submodular = _submodular(a, n)
+    # a submodular f's gains of i shrink as S grows: the least is at N - i
+    nondecreasing = (top >= 0).all(1) if submodular.all() else _nondecreasing(a, n)
     columns = (a[:, 0] == 0, nondecreasing, submodular,
                (a == a[:, ::-1]).all(1),  # N-m is full - m
                (top == 0).all(1), (duals == a).all(1))
@@ -708,34 +720,36 @@ def enumerate_rank_functions(kind: str, n: int, cap: int) -> Iterator[SetFunctio
     children is expanded a chunk at a time.  The walk holds the block in
     hand and, for each mask on the current path where it split a block or
     chunked a parent, the part it walks later, a view of a block already
-    made: at most one block per mask of the path.  Traced peaks: 1.1 MB
-    over (polymatroid, 4, 3), (polyquantoid, 4, 3) and (polyquantoid, 5,
-    2), 3.2 MB for (polyquantoid, 6, 2), 1.6 MB for a single path at 16
-    elements, whose one row is extended in place.  The block is int64
-    behind _dtype's guard on cap, and Python ints past it, so values stay
-    exact.  A single path through 2^16 masks costs about 25 numpy calls per
-    mask, against a few list reads for a walk of one table at a time: cap
-    0 at 16 elements takes 1.0-1.3 s, against 0.55-0.7 s for that walk
-    (one CPU of a 2-vCPU VM).
+    made: at most one block per mask of the path.  Traced peaks, with the
+    classification: 1.2 MB over (polymatroid, 4, 3), (polyquantoid, 4, 3)
+    and (polyquantoid, 5, 2), 3.2 MB for (polyquantoid, 6, 2), 1.8 MB for
+    (polymatroid, 8, 1), 3.7 MB for (polymatroid, 9, 1) and 2.1 MB for a
+    single path at 16 elements, whose one row is extended in place.  The
+    block is int64 behind _dtype's guard on cap, and Python ints past it,
+    so values stay exact.  A single path through 2^16 masks costs about
+    25 numpy calls per mask, against a few list reads for a walk of one
+    table at a time: cap 0 at 16 elements takes 1.0-1.3 s, against
+    0.55-0.7 s for that walk (one CPU of a 2-vCPU VM).
 
-    A function of at most _GATHER_UP_TO = 8 elements comes classified,
-    with its dual table.  When the walk completes an int64 block, it
-    computes the dual tables (_dual) and the Classifications
-    (_classify_rows) of up to _BLOCK / n entries of it at a time, and
-    hands each function its Classification and a read-only copy of its
-    row of the dual tables: what classify and its dual table would compute
-    on first use, in the same dtype.  That costs about 3 us per function,
-    against about 30 us for a classify on first use, but a caller who only
-    enumerates pays it too: the three exact-small families enumerate in
-    20-21 ms, against 13-14 ms without it, and (polyquantoid, 6, 2) in
-    0.31-0.33 s, against 0.30-0.34 s (one CPU of a 2-vCPU VM).  Larger
-    functions, and a block past the int64 guard, are classified on first
-    use.
+    Every function comes classified, with its dual table.  When the walk
+    completes a block, it computes the block's dual tables (_dual) and
+    Classifications (_classify_rows) and hands each function its
+    Classification and a read-only copy of its row of the dual tables, in
+    the dtype of the function's own table: what classify and its dual
+    table would compute on first use.  That costs about 3.3 us per
+    function of 4 elements, against about 60 us for a classify on first
+    use, but a caller who only enumerates pays it too.  (polyquantoid, 6,
+    2) completes 157 blocks with a median of 11 rows and enumerates in
+    357-368 ms, against 336-343 ms when its blocks were classified by
+    gather, and (polymatroid, 9, 1), whose functions were classified on
+    first use, in 65-70 ms against 52-55 ms (one CPU of a 2-vCPU VM, best
+    to median of five processes per side).
     """
     if kind not in (POLYMATROID, POLYQUANTOID):
         raise ValueError(f"unknown kind {kind!r}")
     if isinstance(n, bool) or isinstance(cap, bool):
         raise TypeError(f"n {n!r} and cap {cap!r} must be ints, not bools")
+    n, cap = operator.index(n), operator.index(cap)  # a float or Fraction is a TypeError
     if n < 0 or cap < 0:
         raise ValueError("n and cap must be nonnegative")
     ground = GroundSet(tuple(str(i + 1) for i in range(n)))
@@ -785,11 +799,9 @@ def enumerate_rank_functions(kind: str, n: int, cap: int) -> Iterator[SetFunctio
         return np.maximum.reduce(low, 1, initial=0), hi
 
     one = Fraction(1)
-    rows = np.zeros((1, size), dtype=_dtype([cap], n))  # normalized: column 0 is 0
-    if not n:
-        yield _from_scaled(ground, rows[0], one)
-        return
-    stack = [(rows, 1, *bounds(rows, 1))]
+    rows = np.zeros((1, size), dtype=_dtype([cap], n))
+    zero = np.zeros(1, dtype=rows.dtype)
+    stack = [(rows, 0, zero, zero)]  # normalized: column 0 is 0
     # depth-first: each entry holds rows valid below column m, and the least
     # and greatest value of column m in each; the entry on top is walked first
     while stack:
@@ -818,20 +830,14 @@ def enumerate_rank_functions(kind: str, n: int, cap: int) -> Iterator[SetFunctio
             rows[:, m] = np.arange(total) + np.repeat(lo + counts - counts.cumsum(), counts)
         if m < full:
             stack.append((rows, m + 1, *bounds(rows, m + 1)))
-        elif n > _GATHER_UP_TO or rows.dtype != np.int64:
-            for row in rows:
-                # a copy: in-place extension may write the block again
-                yield _from_scaled(ground, row.copy(), one)
-        else:
-            # at most _BLOCK / n table entries at a time, whose gathered gains
-            # (_classify_rows) hold n (n - 1) / 2 times as many
-            step = max(1, _BLOCK // (size * n))
-            for i in range(0, len(rows), step):
-                part = rows[i:i + step]
-                duals = _dual(part, n)
-                for row, d, c in zip(part, duals, _classify_rows(part, 1, duals, n)):
-                    f = _from_scaled(ground, row.copy(), one)
-                    d = d.copy()  # a row of its own, so a function kept keeps no block
-                    d.flags.writeable = False
-                    f.__dict__.update(_dual_table=d, _classification=c)
-                    yield f
+            continue
+        duals = _dual(rows, n)
+        for row, d, c in zip(rows, duals, _classify_rows(rows, 1, duals, n)):
+            # a copy: in-place extension may write the block again
+            f = _from_scaled(ground, row.copy(), one)
+            # a row of its own, so a function kept keeps no block, in the
+            # dtype of its own table, which may be int64 from an object block
+            d = d.astype(f._scaled_table[0].dtype)
+            d.flags.writeable = False
+            f.__dict__.update(_dual_table=d, _classification=c)
+            yield f

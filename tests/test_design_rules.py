@@ -81,6 +81,22 @@ ONCE = {
 }
 
 
+def test_classify_walks_and_the_size_rule_picks_two_things():
+    # classify reads every increment through setfn's strided walk, for one
+    # table or a block; _GATHER_UP_TO picks only _modular's membership
+    # product and sharing's every-dealer batching
+    functions = {f"{path.stem}.{fn.name}": fn
+                 for path in SOURCES
+                 for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+                 if isinstance(fn, ast.FunctionDef)}
+    calls = {_call_of(node) for node in ast.walk(functions["setfn._classify_rows"])}
+    assert calls & {"_gains", "_coalition_rows", "_one_smaller"} == set()
+    readers = sorted(name for name, fn in functions.items()
+                     if any(isinstance(node, ast.Name) and node.id == "_GATHER_UP_TO"
+                            and isinstance(node.ctx, ast.Load) for node in ast.walk(fn)))
+    assert readers == ["setfn._modular", "sharing._validated_flags"]
+
+
 def test_each_job_has_one_private_path():
     lines = {f"{path.name}: {what}": [node.lineno for node in ast.walk(tree) if matches(node)]
              for path in SOURCES if path.name in ONCE

@@ -266,14 +266,15 @@ def assert_as_computed_on_first_use(f):
 
 
 HANDED = [("polymatroid", 4, 3), ("polyquantoid", 4, 3), ("polyquantoid", 5, 2),
-          ("polyquantoid", 6, 2), ("polymatroid", 8, 1)]
+          ("polyquantoid", 6, 2), ("polymatroid", 8, 1), ("polymatroid", 9, 1)]
 
 
 # (polyquantoid, 6, 2) takes about 16 s in blocks of one row or of 64 entries,
-# so it runs in the default blocks only
+# and at 9 elements such a block is one row, as the 8-element cases already
+# have it, so those two run in the default blocks only
 @pytest.mark.parametrize("kind,n,cap,block", [(*family, block) for family in HANDED
                                               for block in (None, 1, 64)
-                                              if not (block and family[1] == 6)])
+                                              if not (block and family[1] in (6, 9))])
 def test_enumerated_functions_come_classified(monkeypatch, kind, n, cap, block):
     if block:
         monkeypatch.setattr(setfn, "_BLOCK", block)
@@ -282,8 +283,10 @@ def test_enumerated_functions_come_classified(monkeypatch, kind, n, cap, block):
         assert {"_classification", "_dual_table"} <= set(vars(f))  # handed out, not yet computed
         assert_as_computed_on_first_use(f)
     if block is None:
-        # the Fraction oracle, on every function up to 5 elements and every 8th past that
-        assert all(classify(f) == classify_loops(f) for f in fs[::1 if n <= 5 else 8])
+        # the Fraction oracle, on every function up to 5 elements, every 8th up
+        # to 8 and every 64th past that (about 23 ms each at 9 elements)
+        assert all(classify(f) == classify_loops(f)
+                   for f in fs[::1 if n <= 5 else 8 if n <= 8 else 64])
         for f in fs[:3]:
             for g in (copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
                 assert classify(g) == classify(f) and (g._dual_table == f._dual_table).all()
@@ -298,6 +301,7 @@ def test_enumerated_past_the_int64_guard_classify_as_on_first_use(kind, n, count
     fs = list(itertools.islice(enumerate_rank_functions(kind, n, 10**30), count))
     assert {f._scaled_table[0].dtype for f in fs} == {np.dtype(np.int64)}
     for f in fs:
+        assert {"_classification", "_dual_table"} <= set(vars(f))  # handed out, not yet computed
         assert classify(f) == classify_loops(f)
         assert_as_computed_on_first_use(f)
 
@@ -471,7 +475,7 @@ def test_gathered_increments_dual_and_dealer_flags_equal_loops():
         assert c == classify_loops(f) and is_tight(f) == c.tight
         seen.add((n, a.dtype == object, c.submodular, c.nondecreasing))
 
-        # the increments as classify gathers them up to the limit, checked on both sides of it
+        # the increments as the sharing flags gather them, checked on both sides of the limit
         inc = setfn._gains(a, setfn._coalition_rows(n), setfn._singleton_masks(n)[0])
         t = a.tolist()  # the oracles add Python ints
         assert inc.dtype == a.dtype
@@ -496,3 +500,45 @@ def test_gathered_increments_dual_and_dealer_flags_equal_loops():
     assert {s[0] for s in seen} == set(range(10))
     assert {s[1:] for s in seen} == {(dtype, sub, mono) for dtype in (False, True)
                                      for sub in (False, True) for mono in (False, True)}
+
+
+def mixed_rows(n):
+    """Integer tables on n elements, one for each way submodularity and
+    monotonicity can hold: min(|S|, 1), -|S|, |S|^2 and |S|^2 - 3|S|.
+    The last is the one whose f(N) - f(N - i) are never negative although
+    some gain is, for n >= 2."""
+    sizes = [m.bit_count() for m in range(1 << n)]
+    return [[min(s, 1) for s in sizes], [-s for s in sizes], [s * s for s in sizes],
+            [s * s - 3 * s for s in sizes]]
+
+
+def test_block_walk_equals_loops_row_by_row():
+    # every table of gather_corpus() and n = 10 polymatroids, as integer rows
+    # (each table over its own den), grouped by n into one block of each dtype
+    # with the rows of mixed_rows: submodular or not, monotone or not
+    rng = random.Random(34)
+    tens = [random_rational_polymatroid(rng, 10) for _ in range(2)]
+    groups = {n: mixed_rows(n) for n in range(11)}
+    for f in gather_corpus() + tens + [perturbed(f, rng) for f in tens]:
+        groups[f.n].append(f._scaled_table[0].tolist())
+    oracle = {}
+    seen = set()
+    for n, rows in groups.items():
+        for dtype in (np.int64, object):
+            block = np.array([r for r in rows if setfn._dtype(r, n) == dtype or dtype == object],
+                             dtype=dtype)
+            duals = setfn._dual(block, n)
+            got = setfn._classify_rows(block, 1, duals, n)
+            assert len(got) == len(block) and duals.dtype == block.dtype
+            flags = set()
+            for row, d, c in zip(block.tolist(), duals.tolist(), got):
+                key = tuple(row)
+                if key not in oracle:
+                    g = from_table(labels_for(n), row)
+                    oracle[key] = (classify_loops(g), list(dual_loops(g).values))
+                assert (c, d) == oracle[key]
+                flags.add((c.submodular, c.nondecreasing))
+            # with n <= 1 every table is submodular, and with n = 0 monotone
+            assert len(flags) == {0: 1, 1: 2}.get(n, 4)
+            seen.add((n, dtype))
+    assert len(seen) == 22

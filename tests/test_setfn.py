@@ -422,6 +422,20 @@ def test_enumerate_rejects_negative_sizes(n, cap):
         next(enumerate_rank_functions("polymatroid", n, cap))
 
 
+@pytest.mark.parametrize("n, cap", [(2, 2.5), (2, Fraction(5, 2)), (2.0, 1), (2, "1"),
+                                    (np.float64(2), 1)])
+def test_enumerate_rejects_a_size_that_is_no_int(n, cap):
+    # a float or Fraction cap was read as its floor, which let a float decide an exact bound
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        next(enumerate_rank_functions("polymatroid", n, cap))
+
+
+def test_enumerate_reads_a_numpy_integer_as_the_int_it_equals():
+    want = [f.values for f in enumerate_rank_functions("polyquantoid", 3, 2)]
+    assert [f.values for f in enumerate_rank_functions("polyquantoid", np.int64(3), 2)] == want
+    assert [f.values for f in enumerate_rank_functions("polyquantoid", 3, np.uint8(2))] == want
+
+
 def test_scale_message_obeys_the_digit_limit():
     # str of a 4,401-digit integer passes int's str limit
     with pytest.raises(NonpositiveScale, match="digit limit"):
