@@ -391,6 +391,6 @@ def is_approx_polyquantoid(f: ApproxSetFunction) -> bool:
 
 
 def _approx_submodular(v: np.ndarray, n: int, tol: float) -> bool:
-    # setfn._submodular's two-point test: the gain of b grows by at most
+    # setfn._classify_rows' two-point test: the gain of b grows by at most
     # tol when c < b joins
     return all((at_sc <= at_s + tol).all() for at_sc, at_s in _two_point_gains(v, n))

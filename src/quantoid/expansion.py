@@ -102,6 +102,13 @@ class BlockMap:
 
     @classmethod
     def from_sizes(cls, source: GroundSet, sizes: Sequence[int]) -> "BlockMap":
+        """Blocks of sizes[i] copies of each source element i.  A bool size
+        is a TypeError, and a negative one a ValueError."""
+        for size in sizes:
+            if isinstance(size, bool):
+                raise TypeError(f"block size {size!r} is a bool, not an int")
+            if size < 0:
+                raise ValueError(f"block size {size} is negative")
         blocks = tuple(
             tuple(f"{label}.{k}" for k in range(size))
             for label, size in zip(source.labels, sizes)

@@ -365,11 +365,13 @@ def build(labels: Sequence, values: Mapping) -> SetFunction:
     """Build a SetFunction from labels and a complete subset-key -> rational table.
 
     Every one of the 2^n canonical keys must be present; floats are rejected.
-    The keys are read in mask order, and the first bad one is named.  Each
-    distinct value string is parsed once; a value of any other type (1, 1.0
-    and True compare equal) is read on its own, every time.  The function
-    carries its integer table from the start: only the distinct parsed
-    values are scaled, and the table is gathered from them (see _gathered).
+    The keys are read in mask order, and the first bad one is named; of
+    several unknown keys, the least str key, or the first in the mapping's
+    order when none is a str.  Each distinct value string is parsed once; a
+    value of any other type (1, 1.0 and True compare equal) is read on its
+    own, every time.  The function carries its integer table from the
+    start: only the distinct parsed values are scaled, and the table is
+    gathered from them (see _gathered).
     """
     ground = GroundSet(labels)
     slot: dict[str, int] = {}  # each distinct value string -> its place in parsed
@@ -389,8 +391,10 @@ def build(labels: Sequence, values: Mapping) -> SetFunction:
                 slot[value] = i
         index.append(i)
     if len(values) != len(index):
-        extras = sorted(set(values) - set(ground._subset_keys))
-        raise UnknownSubsetKey(repr(extras[0]))
+        known = set(ground._subset_keys)
+        extras = [key for key in values if key not in known]
+        # keys of different types do not compare: the least str key, else the first
+        raise UnknownSubsetKey(repr(min([k for k in extras if isinstance(k, str)] or extras[:1])))
     return _gathered(ground, parsed, index)
 
 
@@ -572,18 +576,6 @@ def _rows_hold(pairs: Iterator[tuple[np.ndarray, np.ndarray]], rows: int) -> np.
     return np.logical_and.reduce(held)
 
 
-def _nondecreasing(a: np.ndarray, n: int) -> np.ndarray:
-    return _rows_hold(_increments(a, n), len(a))
-
-
-def _submodular(a: np.ndarray, n: int) -> np.ndarray:
-    # Two-point criterion: for every S and distinct b, c outside S,
-    # f(S+b) + f(S+c) >= f(S+b+c) + f(S), that is, the gain of b does not
-    # grow when c joins.  Equivalent to the all-pairs definition for
-    # functions on the full subset lattice.
-    return _rows_hold(_two_point_gains(a, n), len(a))
-
-
 def _dual(a: np.ndarray, n: int) -> np.ndarray:
     """The dual table of one table, or of each row of a block."""
     # f'(I) = f(N-I) + f({}) - f(N) + sum over i in I of
@@ -622,11 +614,9 @@ def classify(f: SetFunction) -> Classification:
     from enumerate_rank_functions comes with it, computed for its whole
     block at once.  On first use it is the one-row case of the block
     kernel (_classify_rows), which walks one pair of elements at a time: a
-    function of 4, 6 or 8 elements takes 59-67, 97-110 or 161-172 us,
-    against 34-36, 37-39 or 53-56 us for the gather it replaced, one of 12
-    elements 494-535 against 428-466 us, and one of 16 about what it took
-    before (one CPU of a 2-vCPU VM, best to median of five processes per
-    side).
+    fresh function of 4, 6 or 8 elements takes 74, 114-118 or 171-183 us,
+    one of 12 elements 0.55-0.58 ms and one of 16 5.4-6.8 ms (one CPU of a
+    2-vCPU VM, best to median of seven processes).
     """
     return f._classification
 
@@ -643,42 +633,38 @@ def _classify_rows(a: np.ndarray, den: int, duals: np.ndarray, n: int) -> list[C
     den whose dual tables are the rows of duals.
 
     The tables are the values scaled by the lcm of their denominators (see
-    the module docstring for the int64 overflow guard).  Submodularity is
-    the local two-point criterion: the gain of i at S is at least its gain
-    at S + j.  Every block, of one row or many, at every n, walks: one
-    vector comparison per pair of elements, over every row at once, until
-    a pair fails in every row.  When every row is submodular, nondecreasing
-    needs only f(N - i) <= f(N) for every i; otherwise every row walks
-    every gain.  Tight is f(N - i) == f(N).
-    Selfduality compares each table with its dual.  No flag reads the
-    unscaled values: `integer` is den == 1, and the singletons-in-{0, 1}
-    part of matroid and quantoid reads the table, which then holds the
-    values.
+    the module docstring for the int64 overflow guard).  Every field is one
+    boolean column over the rows, and each kind is the & of its axioms'
+    columns.  Submodularity walks: one vector comparison per pair of
+    elements, over every row at once, until a pair fails in every row.
+    When every row is submodular, nondecreasing needs only f(N - i) <= f(N)
+    for every i; otherwise every row walks every gain.  Tight is
+    f(N - i) == f(N).  Selfduality compares each table with its dual.  No
+    flag reads the unscaled values: `integer` is den == 1, and the
+    singletons-in-{0, 1} part of matroid and quantoid reads the table,
+    which then holds the values.
     """
     top = _top_gains(a, n)
-    submodular = _submodular(a, n)
+    # Two-point criterion: for every S and distinct b, c outside S,
+    # f(S+b) + f(S+c) >= f(S+b+c) + f(S), that is, the gain of b does not
+    # grow when c joins.  Equivalent to the all-pairs definition for
+    # functions on the full subset lattice.
+    submodular = _rows_hold(_two_point_gains(a, n), len(a))
     # a submodular f's gains of i shrink as S grows: the least is at N - i
-    nondecreasing = (top >= 0).all(1) if submodular.all() else _nondecreasing(a, n)
-    columns = (a[:, 0] == 0, nondecreasing, submodular,
-               (a == a[:, ::-1]).all(1),  # N-m is full - m
-               (top == 0).all(1), (duals == a).all(1))
-    singles_01 = [set(s) <= {0, 1} for s in a.take(_singleton_masks(n)[0], axis=1).tolist()]
-    return [_classification(den == 1, *row)
-            for row in zip(*(c.tolist() for c in columns), singles_01)]
-
-
-def _classification(integer: bool, normalized: bool, nondecreasing: bool, submodular: bool,
-                    complementary: bool, tight: bool, selfdual: bool,
-                    singles_01: bool) -> Classification:
-    """The Classification of one table's flags, with the kinds they make."""
-    polymatroid = normalized and nondecreasing and submodular
-    polyquantoid = normalized and complementary and submodular
-    # matroid and quantoid read singles_01 only with integer, where den is 1:
-    # the table is the values
-    return Classification(normalized, nondecreasing, submodular, complementary, tight, integer,
-                          selfdual, polymatroid, polyquantoid,
-                          matroid=polymatroid and integer and singles_01,
-                          quantoid=polyquantoid and integer and singles_01)
+    nondecreasing = ((top >= 0).all(1) if submodular.all()
+                     else _rows_hold(_increments(a, n), len(a)))
+    normalized = a[:, 0] == 0
+    complementary = (a == a[:, ::-1]).all(1)  # N-m is full - m
+    integer = np.full(len(a), den == 1)
+    singles = a.take(_singleton_masks(n)[0], axis=1)
+    # read only with integer, where den is 1: the table is the values
+    integer_01 = integer & ((singles == 0) | (singles == 1)).all(1)
+    polymatroid = normalized & nondecreasing & submodular
+    polyquantoid = normalized & complementary & submodular
+    columns = (normalized, nondecreasing, submodular, complementary, (top == 0).all(1), integer,
+               (duals == a).all(1), polymatroid, polyquantoid,
+               polymatroid & integer_01, polyquantoid & integer_01)
+    return list(map(Classification, *(c.tolist() for c in columns)))
 
 
 def scale(f: SetFunction, t) -> SetFunction:
@@ -727,23 +713,20 @@ def enumerate_rank_functions(kind: str, n: int, cap: int) -> Iterator[SetFunctio
     single path at 16 elements, whose one row is extended in place.  The
     block is int64 behind _dtype's guard on cap, and Python ints past it,
     so values stay exact.  A single path through 2^16 masks costs about
-    25 numpy calls per mask, against a few list reads for a walk of one
-    table at a time: cap 0 at 16 elements takes 1.0-1.3 s, against
-    0.55-0.7 s for that walk (one CPU of a 2-vCPU VM).
+    25 numpy calls per mask: cap 0 at 16 elements takes 1.0-1.3 s (one
+    CPU of a 2-vCPU VM).
 
     Every function comes classified, with its dual table.  When the walk
     completes a block, it computes the block's dual tables (_dual) and
     Classifications (_classify_rows) and hands each function its
     Classification and a read-only copy of its row of the dual tables, in
     the dtype of the function's own table: what classify and its dual
-    table would compute on first use.  That costs about 3.3 us per
-    function of 4 elements, against about 60 us for a classify on first
+    table would compute on first use.  That costs about 2.6 us per
+    function of 4 elements, against about 74 us for a classify on first
     use, but a caller who only enumerates pays it too.  (polyquantoid, 6,
     2) completes 157 blocks with a median of 11 rows and enumerates in
-    357-368 ms, against 336-343 ms when its blocks were classified by
-    gather, and (polymatroid, 9, 1), whose functions were classified on
-    first use, in 65-70 ms against 52-55 ms (one CPU of a 2-vCPU VM, best
-    to median of five processes per side).
+    333-349 ms, and (polymatroid, 9, 1) in 64-67 ms (one CPU of a 2-vCPU
+    VM, best to median of five processes).
     """
     if kind not in (POLYMATROID, POLYQUANTOID):
         raise ValueError(f"unknown kind {kind!r}")

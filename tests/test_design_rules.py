@@ -97,6 +97,26 @@ def test_classify_walks_and_the_size_rule_picks_two_things():
     assert readers == ["setfn._modular", "sharing._validated_flags"]
 
 
+def _builds_classification(node) -> bool:
+    # a call of Classification, or a call handed it as a callable, as map is
+    return isinstance(node, ast.Call) and any(
+        isinstance(x, ast.Name) and x.id == "Classification"
+        or isinstance(x, ast.Attribute) and x.attr == "Classification"
+        for x in (node.func, *node.args, *(k.value for k in node.keywords)))
+
+
+def test_classify_rows_builds_every_classification():
+    # setfn._classify_rows assembles every flag and kind, for one row or a
+    # block, so a new flag or kind has one place to go
+    trees = [ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in SOURCES]
+    builders = sorted(f"{path.stem}.{fn.name}"
+                      for path, tree in zip(SOURCES, trees)
+                      for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                      and any(_builds_classification(node) for node in ast.walk(fn)))
+    calls = sum(_builds_classification(node) for tree in trees for node in ast.walk(tree))
+    assert builders == ["setfn._classify_rows"] and calls == 1
+
+
 def test_each_job_has_one_private_path():
     lines = {f"{path.name}: {what}": [node.lineno for node in ast.walk(tree) if matches(node)]
              for path in SOURCES if path.name in ONCE

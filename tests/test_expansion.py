@@ -309,6 +309,18 @@ def test_block_map_rejects_overlap():
                  expanded=GroundSet(("a",)))
 
 
+def test_block_map_from_sizes_rejects_a_bool_or_negative_size():
+    # True would read as one copy and -1 as an empty block
+    from quantoid.setfn import GroundSet
+    g = GroundSet(("a", "b"))
+    with pytest.raises(TypeError, match=r"^block size True is a bool, not an int$"):
+        BlockMap.from_sizes(g, [True, 2])
+    with pytest.raises(ValueError, match=r"^block size -1 is negative$"):
+        BlockMap.from_sizes(g, [-1, 2])
+    bmap = BlockMap.from_sizes(g, np.array([2, 0]))  # numpy integers still work
+    assert bmap.blocks == (("a.0", "a.1"), ()) and bmap.expanded.labels == ("a.0", "a.1")
+
+
 # -- the count-vector kernel -----------------------------------------------------
 
 def _integer_sources():

@@ -664,6 +664,17 @@ def test_build_names_the_first_bad_key_in_mask_order():
     assert str(info.value) == "'0'"
 
 
+def test_build_names_an_unknown_key_among_keys_of_mixed_types():
+    # keys of different types do not compare: the least str key is named,
+    # and a key of another type only when no unknown key is a str
+    with pytest.raises(UnknownSubsetKey) as info:
+        build(["a"], {"": "0", "a": "1", 1: "2", "b": "3"})
+    assert str(info.value) == "'b'"
+    with pytest.raises(UnknownSubsetKey) as info:
+        build(["a"], {"": "0", "a": "1", 1: "2", None: "3"})
+    assert str(info.value) == "1"
+
+
 @pytest.mark.parametrize("earlier", ["1", 1], ids=["str", "int"])
 @pytest.mark.parametrize("later", [1.0, True, np.int64(1)], ids=["float", "bool", "int64"])
 def test_build_rejects_values_equal_to_one_read_before(earlier, later):
